@@ -173,7 +173,7 @@ func benchForwardPrunedYOLOv5s(b *testing.B, mode EngineMode) {
 	if _, err := NewRTOSS(3).Prune(m); err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(m, EngineOptions{Mode: mode})
+	e, err := CompileProgram(m, EngineOptions{Mode: mode})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,7 +8,6 @@
 //	rtoss forward [flags]     run the real execution engine (-engine=dense|sparse|auto)
 //	rtoss detect [flags]      end-to-end detection: image in, JSON boxes out
 //	rtoss serve [flags]       serve a compiled model over HTTP with micro-batching
-//	rtoss bench [flags]       single vs batched vs served throughput (optionally as JSON)
 //	rtoss eval [flags]        mAP + latency over the synthetic-KITTI set, via any backend
 //	rtoss stream [flags]      streaming eval: deadline-hit-rate + mAP over rendered videos
 //	rtoss route [flags]       consistent-hash failover router over N serve shards
@@ -65,8 +64,6 @@ func main() {
 		err = detectCmd(os.Args[2:])
 	case "serve":
 		err = serveCmd(os.Args[2:])
-	case "bench":
-		err = benchCmd(os.Args[2:])
 	case "eval":
 		err = evalCmd(os.Args[2:])
 	case "stream":
@@ -91,7 +88,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Println("usage: rtoss <census|prune|platforms|compare|tradeoff|forward|detect|serve|bench|eval|stream|route|loadtest|chaos> [flags]")
+	fmt.Println("usage: rtoss <census|prune|platforms|compare|tradeoff|forward|detect|serve|eval|stream|route|loadtest|chaos> [flags]")
 }
 
 // evalCmd scores the detection stack with the real mAP evaluator over
@@ -338,73 +335,6 @@ func serveCmd(args []string) error {
 	return serveGracefully(*addr, mux, hub.Close, srv.Close, reg.Close)
 }
 
-// benchCmd measures single-stream vs batched vs served throughput,
-// then the detection pipeline (postprocess alone, end-to-end image ->
-// boxes dense vs sparse, and the served batched-detect path), and
-// optionally writes either report as JSON (the CI artifact formats:
-// -json emits the PR2 forward bench, -detect-json the PR5 detect
-// bench).
-func benchCmd(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	modelName := fs.String("model", "yolov5s", "model to bench (yolov5s|retinanet)")
-	entries := fs.Int("entries", 3, "R-TOSS entry patterns for the sparse variant")
-	res := fs.Int("res", 64, "input resolution (HxW)")
-	batch := fs.Int("batch", 8, "images per batched forward")
-	streams := fs.Int("streams", 8, "concurrent client streams")
-	images := fs.Int("images", 0, "images per scenario (0 = 2*streams)")
-	jsonPath := fs.String("json", "", "also write the forward report to this JSON file")
-	detectStage := fs.Bool("detect", true, "also run the detection-pipeline stage")
-	detectRes := fs.Int("detect-res", 256, "letterbox resolution for the detect stage")
-	detectJSON := fs.String("detect-json", "", "also write the detect report to this JSON file (BENCH_PR8 format)")
-	streamStage := fs.Bool("stream", true, "also run the paced streaming scenario (detect stage only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	arch, err := zooName(*modelName)
-	if err != nil {
-		return err
-	}
-	rep, err := serve.RunBench(serve.BenchConfig{
-		Arch: arch, Entries: *entries, Res: *res,
-		Batch: *batch, Streams: *streams, Images: *images,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Render())
-	if *jsonPath != "" {
-		if err := rep.WriteJSON(*jsonPath); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-	if !*detectStage {
-		return nil
-	}
-	drep, err := serve.RunDetectBench(serve.DetectBenchConfig{
-		Arch: arch, Entries: *entries, Res: *detectRes,
-		Streams: *streams, Images: *images,
-	})
-	if err != nil {
-		return err
-	}
-	if *streamStage {
-		row, err := stream.RunStreamBench(stream.BenchConfig{Arch: arch, Entries: *entries})
-		if err != nil {
-			return err
-		}
-		drep.Results = append(drep.Results, row)
-	}
-	fmt.Print(drep.Render())
-	if *detectJSON != "" {
-		if err := drep.WriteJSON(*detectJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *detectJSON)
-	}
-	return nil
-}
-
 // forward runs the real execution engine on a (optionally pruned) model
 // and reports wall-clock per pass, comparing the selected engine mode
 // against the dense baseline.
@@ -449,7 +379,7 @@ func forward(args []string) error {
 	}
 
 	timeEngine := func(mode rtoss.EngineMode) (float64, *rtoss.Tensor, error) {
-		e, err := rtoss.NewEngine(m, rtoss.EngineOptions{Mode: mode, Workers: *workers})
+		e, err := rtoss.CompileProgram(m, rtoss.EngineOptions{Mode: mode, Workers: *workers})
 		if err != nil {
 			return 0, nil, err
 		}

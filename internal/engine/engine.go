@@ -26,9 +26,8 @@
 // convolutions across the batch dimension. Output-style runs recycle a
 // layer's output buffer as soon as its last consumer has executed.
 //
-// Engine is a legacy alias for Program; New is a legacy alias for
-// Compile. The analytic latency/energy estimation lives in internal/hw;
-// this package is the numeric twin.
+// The analytic latency/energy estimation lives in internal/hw; this
+// package is the numeric twin.
 package engine
 
 import (
@@ -91,13 +90,6 @@ type Options struct {
 	// (2EP..5EP) plus the empty mask (connectivity-pruned kernels).
 	PatternDict []uint16
 }
-
-// Engine is the legacy name of Program, kept so existing callers (and
-// the public rtoss.Engine alias) keep compiling.
-type Engine = Program
-
-// New compiles a model for execution. It is the legacy name of Compile.
-func New(m *nn.Model, opts Options) (*Engine, error) { return Compile(m, opts) }
 
 // ---------------------------------------------------------------------
 // Package-level convenience API (compile-and-run with defaults).

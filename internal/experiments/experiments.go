@@ -60,8 +60,8 @@ const measuredRes = 64
 // MeasureForward times a compiled Program's forward pass (best of reps
 // runs, which suppresses one-off scheduler/GC hiccups; reps < 1 counts
 // as 1) and returns the final output tensor of the last run. It is
-// shared by RunFrameworks, the serving benchmarks and the rtoss CLI so
-// all measure with the same methodology.
+// shared by RunFrameworks and the rtoss CLI so both measure with the
+// same methodology.
 func MeasureForward(e *engine.Program, input *tensor.Tensor, reps int) (float64, *tensor.Tensor, error) {
 	if reps < 1 {
 		reps = 1

@@ -23,7 +23,10 @@ import (
 // LoadConfig parameterises one closed-loop load test: Concurrency
 // workers each fire /detect requests back-to-back against URL for
 // Duration, cycling through pre-rendered synthetic-KITTI images and
-// the configured model-key mix.
+// the configured model-key mix. It is a load generator, not a
+// benchmark: RunChaos's load phase, the failover tests and the CI
+// fleet job gate correctness on its report, which is why it lives here
+// and not in bench/.
 type LoadConfig struct {
 	// URL is the router (or single shard) base URL.
 	URL string

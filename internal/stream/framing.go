@@ -477,7 +477,7 @@ func parseDecimal(s string) (int, error) {
 
 // AppendMultipartFrame appends one multipart part (boundary line,
 // Content-Length header, body) to dst — the encoder half of the MJPEG
-// framing, used by tests, the bench harness, and `rtoss stream`.
+// framing, for stream clients and tests.
 func AppendMultipartFrame(dst []byte, boundary string, frame []byte) []byte {
 	dst = append(dst, "--"...)
 	dst = append(dst, boundary...)

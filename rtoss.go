@@ -15,7 +15,7 @@
 //     latency and energy, compressed weight formats (Encode), an
 //     information-retention accuracy surrogate (Assess), and a
 //     synthetic-KITTI detection pipeline with a real mAP evaluator;
-//   - a sparsity-aware concurrent execution engine (NewEngine) that
+//   - a sparsity-aware concurrent execution engine (CompileProgram) that
 //     turns pattern sparsity into measured wall-clock speedups;
 //   - an end-to-end detection pipeline (NewDetector): image decoding
 //     (DecodeImage), letterbox preprocessing, head decoding and NMS,
@@ -28,8 +28,8 @@
 //
 // # Engine modes
 //
-// NewEngine compiles a model for real execution in one of three kernel
-// dispatch modes:
+// CompileProgram compiles a model for real execution in one of three
+// kernel dispatch modes:
 //
 //   - EngineDense runs every layer with the dense convolution kernels,
 //     whatever the weights look like — the baseline the paper argues
@@ -44,20 +44,19 @@
 //     measured weight density, so unpruned models pay no indirection.
 //
 // Layers execute wavefront-parallel over the model DAG's topological
-// levels on a bounded worker pool, and Engine.Output recycles
+// levels on a bounded worker pool, and Program.Output recycles
 // activation buffers through a per-run arena.
 //
 // # Compile once, run many
 //
-// The engine is split into an immutable Program (CompileProgram; Engine
-// is its legacy alias) and cheap pooled per-request run state: one
-// Program safely serves any number of concurrent goroutines, and
-// Program.ForwardBatch runs a whole batch of images through one
-// forward pass. The serving subsystem builds on that split:
-// NewServeRegistry caches one Program per (architecture, variant, mode)
-// key, and NewServer coalesces concurrent requests into micro-batches
-// with bounded queueing and latency/throughput stats (see `rtoss serve`
-// and `rtoss bench`).
+// The engine is split into an immutable Program (CompileProgram) and
+// cheap pooled per-request run state: one Program safely serves any
+// number of concurrent goroutines, and Program.ForwardBatch runs a
+// whole batch of images through one forward pass. The serving subsystem
+// builds on that split: NewServeRegistry caches one Program per
+// (architecture, variant, mode) key, and NewServer coalesces concurrent
+// requests into micro-batches with bounded queueing and
+// latency/throughput stats (see `rtoss serve`).
 //
 // # Detection pipeline
 //
@@ -216,10 +215,7 @@ func Assess(orig, pruned *Model, res *Result) Quality {
 // one pass.
 type Program = engine.Program
 
-// Engine is the legacy name of Program.
-type Engine = engine.Engine
-
-// EngineOptions configures CompileProgram / NewEngine.
+// EngineOptions configures CompileProgram.
 type EngineOptions = engine.Options
 
 // EngineMode selects the engine's kernel-dispatch policy.
@@ -238,9 +234,6 @@ func CompileProgram(m *Model, opts EngineOptions) (*Program, error) {
 	return engine.Compile(m, opts)
 }
 
-// NewEngine is the legacy name of CompileProgram.
-func NewEngine(m *Model, opts EngineOptions) (*Engine, error) { return engine.New(m, opts) }
-
 // ---------------------------------------------------------------------
 // Serving subsystem (micro-batching inference over shared Programs).
 
@@ -255,15 +248,6 @@ type (
 	ServeStats = serve.Stats
 	// Server coalesces concurrent requests into batched forwards.
 	Server = serve.Server
-	// BenchConfig parameterises RunServeBench.
-	BenchConfig = serve.BenchConfig
-	// BenchReport is a serving benchmark report (the BENCH JSON format).
-	BenchReport = serve.BenchReport
-	// DetectBenchConfig parameterises RunDetectBench.
-	DetectBenchConfig = serve.DetectBenchConfig
-	// DetectBenchReport is a detection benchmark report (the BENCH_PR8
-	// JSON format).
-	DetectBenchReport = serve.DetectBenchReport
 )
 
 // NewServeRegistry returns an empty Program registry.
@@ -272,21 +256,6 @@ func NewServeRegistry() *ServeRegistry { return serve.NewRegistry() }
 // NewServer starts a micro-batching inference server over a shared
 // Program; see ServeConfig for the knobs.
 func NewServer(prog *Program, cfg ServeConfig) *Server { return serve.NewServer(prog, cfg) }
-
-// RunServeBench measures single-stream vs batched vs served throughput
-// with the same harness as `rtoss bench` and the CI artifact.
-func RunServeBench(cfg BenchConfig) (*BenchReport, error) { return serve.RunBench(cfg) }
-
-// RunDetectBench measures the detection pipeline: the pooled ingest
-// stages (per-format decode and letterbox, with steady-state allocs
-// per image), the allocation-free postprocess stage alone, end-to-end
-// image -> boxes under dense vs sparse kernels, and concurrent
-// encoded-image streams through the batched Server.Detect path — the
-// same harness as `rtoss bench`'s detect stage and the BENCH_PR8.json
-// CI artifact.
-func RunDetectBench(cfg DetectBenchConfig) (*DetectBenchReport, error) {
-	return serve.RunDetectBench(cfg)
-}
 
 // ParseEngineMode parses "auto", "dense" or "sparse".
 func ParseEngineMode(s string) (EngineMode, error) { return engine.ParseMode(s) }
