@@ -30,8 +30,8 @@ import (
 //
 //   - paced (default): each stream pushes at FPS against the wall
 //     clock, exactly like a camera. Under load the newest-frame-wins
-//     mailbox and the EDF scheduler shed stale frames, and the report
-//     shows it in the drop counters.
+//     mailbox drops stale frames, serve's admission sheds frames whose
+//     deadline passed, and the report shows both in the drop counters.
 //   - Lockstep: the next frame is pushed only after the previous one
 //     resolved. No pacing, no drops — the mode that makes served-frame
 //     detections bitwise comparable with the single-shot backends,

@@ -13,8 +13,8 @@ import (
 
 // tinyStreamConfig is the shared streaming test run: 2 streams of a
 // dozen 30 fps frames of the tiny 8-class model — small enough for
-// tier-1, real enough to exercise pacing, sessions and the EDF
-// scheduler end to end.
+// tier-1, real enough to exercise pacing, sessions and deadline
+// admission end to end.
 func tinyStreamConfig(mode engine.Mode) StreamConfig {
 	return StreamConfig{
 		Streams: 2, Frames: 12, FPS: 30,
@@ -66,8 +66,8 @@ func TestStreamDeadlineHitRateFloor(t *testing.T) {
 // identical to the in-process forwardPipeline on the same canonical
 // bytes, and therefore the streaming mAP must equal the single-shot
 // mAP over the same frames. This isolates the entire streaming
-// transport — framing, mailbox, EDF admission, batch executors — from
-// the math.
+// transport — framing, mailbox, deadline admission, batch executors —
+// from the math.
 func TestStreamMAPParityWithSingleShot(t *testing.T) {
 	cfg := tinyStreamConfig(engine.ModeSparse)
 	cfg.Lockstep = true

@@ -24,45 +24,6 @@ func tinySpec() detect.HeadSpec {
 	}
 }
 
-// TestInferHeadsMatchesDirect checks the served heads path returns what
-// a direct Program.Heads call computes, and that heads and plain Infer
-// co-exist on one server.
-func TestInferHeadsMatchesDirect(t *testing.T) {
-	p := tinyProgram(t)
-	s := NewServer(p, Config{})
-	defer s.Close()
-
-	in := testImage(31)
-	heads, err := s.InferHeads(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := p.Heads(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(heads) != len(direct) {
-		t.Fatalf("served %d heads, direct %d", len(heads), len(direct))
-	}
-	for i := range heads {
-		if d := maxAbsDiff(heads[i], direct[i]); d > 1e-5 {
-			t.Errorf("head %d: served differs from direct by %g", i, d)
-		}
-	}
-	// Plain Infer still matches the final output on the same server.
-	out, err := s.Infer(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Output(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(out, want); d > 1e-5 {
-		t.Errorf("Infer differs from direct Output by %g", d)
-	}
-}
-
 // TestHTTPDetect drives POST /detect end to end with a PPM body and
 // cross-checks the response against the library pipeline.
 func TestHTTPDetect(t *testing.T) {
@@ -316,14 +277,15 @@ func TestServerDetectValidation(t *testing.T) {
 			t.Errorf("valid request %d failed alongside a garbage one: %v", i, err)
 		}
 	}
-	// After Close, Detect and TryDetect reject like the other verbs.
+	// After Close, Detect and a non-blocking DetectFrame reject like
+	// the other verbs.
 	srv2 := NewServer(p, Config{})
 	srv2.Close()
 	if _, err := srv2.Detect(ppm.Bytes(), pipe, 32, 32); !errors.Is(err, ErrClosed) {
 		t.Errorf("Detect after Close = %v, want ErrClosed", err)
 	}
-	if _, err := srv2.TryDetect(ppm.Bytes(), pipe, 32, 32); !errors.Is(err, ErrClosed) {
-		t.Errorf("TryDetect after Close = %v, want ErrClosed", err)
+	if _, err := srv2.DetectFrame(ppm.Bytes(), pipe, 32, 32, FrameOptions{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("DetectFrame after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -259,9 +259,9 @@ func NewHandler(s *Server, cfg HandlerConfig) http.Handler {
 	return mux
 }
 
-// handleDetect is a thin shim over Server.Detect: parse the threshold
-// overrides, read the body, enqueue. Preprocess (image decode +
-// letterbox), the co-batched forward and the pooled decode+NMS all run
+// handleDetect is a thin shim over Server.DetectFrame: parse the
+// threshold overrides, read the body, enqueue. Preprocess (image decode
+// + letterbox), the co-batched forward and the pooled decode+NMS all run
 // on the server's batch executors, so detection throughput scales with
 // the worker pool instead of with handler goroutines.
 func handleDetect(w http.ResponseWriter, r *http.Request, s *Server, cfg HandlerConfig) {
@@ -285,22 +285,17 @@ func handleDetect(w http.ResponseWriter, r *http.Request, s *Server, cfg Handler
 		http.Error(w, err.Error(), bodyErrCode(err))
 		return
 	}
-	// A ?budget_ms= deadline rides the EDF scheduler via DetectFrame;
-	// without one the request keeps the plain FIFO Detect path.
-	var res *detect.Result
+	// A ?budget_ms= deadline lets admission shed the request once it
+	// has passed; ShedLoad answers 503 instead of waiting for a full
+	// queue.
+	opt := FrameOptions{Block: !cfg.ShedLoad}
 	if budget > 0 {
-		res, err = s.DetectFrame(*body, pipe, cfg.InputH, cfg.InputW, FrameOptions{
-			Deadline: time.Now().Add(budget),
-			Block:    !cfg.ShedLoad,
-		})
-	} else if cfg.ShedLoad {
-		res, err = s.TryDetect(*body, pipe, cfg.InputH, cfg.InputW)
-	} else {
-		res, err = s.Detect(*body, pipe, cfg.InputH, cfg.InputW)
+		opt.Deadline = time.Now().Add(budget)
 	}
-	// Detect never retains the image bytes past its return (preprocess
-	// copies them into pooled tensors before the response is sent), so
-	// the body buffer can serve the next request immediately.
+	res, err := s.DetectFrame(*body, pipe, cfg.InputH, cfg.InputW, opt)
+	// DetectFrame never retains the image bytes past its return
+	// (preprocess copies them into pooled tensors before the response is
+	// sent), so the body buffer can serve the next request immediately.
 	bufPool.Put(body)
 	if err != nil {
 		http.Error(w, err.Error(), serveErrCode(err))
@@ -423,9 +418,8 @@ func appendJSONString(b []byte, s string) []byte {
 // stuck-batch watchdog (all retryable elsewhere — the fleet router
 // fails them over), 400 when the request body was not a decodable
 // image, 504 when the request's deadline budget expired before
-// execution (the scheduler shed it), 409 when a fresher frame
-// superseded it, 500 for an executor panic on this request and
-// anything else.
+// execution (admission shed it), 500 for an executor panic on this
+// request and anything else.
 func serveErrCode(err error) int {
 	switch {
 	case errors.Is(err, ErrClosed) || errors.Is(err, ErrQueueFull) ||
@@ -435,15 +429,13 @@ func serveErrCode(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, ErrDeadline):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrSuperseded):
-		return http.StatusConflict
 	}
 	return http.StatusInternalServerError
 }
 
 // queryBudget parses the optional ?budget_ms= deadline budget of a
 // /detect request: the frame must complete within this many
-// milliseconds of arrival or the scheduler sheds it with 504.
+// milliseconds of arrival or admission sheds it with 504.
 func queryBudget(r *http.Request) (time.Duration, error) {
 	s := r.URL.Query().Get("budget_ms")
 	if s == "" {
@@ -535,7 +527,7 @@ func statsJSON(st Stats) map[string]any {
 		"avg_latency_ms": ms(st.AvgLatency),
 		"max_latency_ms": ms(st.MaxLatency),
 		"queue_depth":    st.QueueDepth,
-		// Batched detection-path counters (Detect/TryDetect requests).
+		// Batched detection-path counters (Detect/DetectFrame requests).
 		"detects":           st.Detects,
 		"candidates":        st.Candidates,
 		"boxes":             st.Boxes,
@@ -543,11 +535,10 @@ func statsJSON(st Stats) map[string]any {
 		"avg_preprocess_ms": ms(st.AvgPreprocess),
 		"avg_decode_ms":     ms(st.AvgDecode),
 		"avg_nms_ms":        ms(st.AvgNMS),
-		// Deadline-scheduler counters (DetectFrame / ?budget_ms
-		// requests). Snapshotted atomically alongside everything else:
-		// each field is one atomic load, so no torn reads under -race.
+		// Deadline counters (DetectFrame / ?budget_ms requests).
+		// Snapshotted atomically alongside everything else: each field
+		// is one atomic load, so no torn reads under -race.
 		"deadline_shed":     st.DeadlineShed,
-		"superseded":        st.Superseded,
 		"deadline_hits":     st.DeadlineHits,
 		"deadline_misses":   st.DeadlineMisses,
 		"deadline_hit_rate": deadlineHitRate(st),
@@ -564,7 +555,7 @@ func statsJSON(st Stats) map[string]any {
 // were served within budget, over everything that was shed or served
 // late instead; 1 when no deadline traffic has been seen.
 func deadlineHitRate(st Stats) float64 {
-	total := st.DeadlineHits + st.DeadlineMisses + st.DeadlineShed + st.Superseded
+	total := st.DeadlineHits + st.DeadlineMisses + st.DeadlineShed
 	if total == 0 {
 		return 1
 	}

@@ -71,7 +71,7 @@ func (c Config) withDefaults() Config {
 // requests enter a bounded queue, workers coalesce them into batches of
 // up to MaxBatch images (waiting at most MaxDelay for stragglers), run
 // one batched forward per batch, and fan the outputs back out to the
-// callers. Detection requests (Detect/TryDetect) carry encoded image
+// callers. Detection requests (Detect/DetectFrame) carry encoded image
 // bytes through the same queue: the batch executor decodes and
 // letterboxes them, co-batches the forwards with Infer traffic, and
 // runs the pooled decode+NMS postprocess before replying — so
@@ -87,22 +87,17 @@ type Server struct {
 	// headArena recycles the per-image head copies HeadsBatchArena
 	// splits off a batched forward: the executor returns a detect
 	// request's heads right after postprocess, so the next batch reuses
-	// the buffers instead of allocating fresh ones. Heads handed to
-	// InferHeads/Infer callers are never recycled — the arena only sees
-	// tensors the server provably owns.
+	// the buffers instead of allocating fresh ones. A head handed to an
+	// Infer caller is never recycled — the arena only sees tensors the
+	// server provably owns.
 	headArena *tensor.Arena
 	// scratchPool recycles ingestScratch (decoded image + letterbox
 	// canvas tensors) across detect requests, making the executor's
 	// decode+letterbox stage allocation-free in steady state.
 	scratchPool sync.Pool
 
-	// sched is the shared deadline-aware admission queue (see edf.go):
-	// every gathered batch is pushed through it so urgent frames jump
-	// ahead of slack-rich ones across all workers, and stale or
-	// already-expired frames are shed before they cost a forward pass.
-	schedMu sync.Mutex
-	sched   *edfQueue
-	// seq numbers admissions for the EDF queue's FIFO tiebreak.
+	// seq numbers admissions, so an injected executor panic can name
+	// the request it hit.
 	seq atomic.Uint64
 
 	closeMu sync.RWMutex
@@ -140,9 +135,10 @@ var (
 	// without a forward pass (its slack was negative, so the result
 	// could not have been useful). The HTTP front end maps it to 504.
 	ErrDeadline = errors.New("serve: deadline expired before execution")
-	// ErrSuperseded is returned for a stream frame that a fresher
-	// frame of the same stream overtook in the queue: newest-frame-
-	// wins shed it unserved.
+	// ErrSuperseded is what a stream session (internal/stream) reports
+	// for a frame a fresher push evicted from its mailbox: newest-frame-
+	// wins dropped it before it reached the server. The server itself
+	// never returns it.
 	ErrSuperseded = errors.New("serve: frame superseded by a fresher frame")
 	// ErrWorkerPanic is returned for the request a batch executor was
 	// handling when it panicked — the one request a panic is allowed
@@ -167,8 +163,6 @@ type reqKind uint8
 const (
 	// kindInfer wants the model's final output tensor.
 	kindInfer reqKind = iota
-	// kindHeads wants every detection-head tensor.
-	kindHeads
 	// kindDetect carries encoded image bytes and wants decoded boxes:
 	// the executor preprocesses, forwards and postprocesses.
 	kindDetect
@@ -176,8 +170,8 @@ const (
 
 type request struct {
 	kind reqKind
-	// in is the network input: caller-provided for infer/heads
-	// requests, filled by the executor's preprocess for detect.
+	// in is the network input: caller-provided for infer requests,
+	// filled by the executor's preprocess for detect.
 	in *tensor.Tensor
 	// img/pipe/resH/resW describe a detect request: encoded image
 	// bytes, the resolved postprocess config, and the letterbox canvas.
@@ -192,14 +186,10 @@ type request struct {
 	pp     time.Duration
 	sc     *ingestScratch
 
-	// deadline, stream, frameSeq and seq drive the EDF admission
-	// scheduler: deadline is the caller's latency budget (zero = none,
-	// schedule FIFO behind deadline traffic), stream/frameSeq identify
-	// a video frame for newest-frame-wins supersession, and seq is the
-	// server-wide admission number used as the FIFO tiebreak.
+	// deadline is the caller's latency budget (zero = none): admission
+	// sheds the request once it has passed. seq is the server-wide
+	// admission number.
 	deadline time.Time
-	stream   uint64
-	frameSeq uint64
 	seq      uint64
 
 	resp chan response
@@ -217,10 +207,9 @@ type request struct {
 }
 
 type response struct {
-	out   *tensor.Tensor
-	heads []*tensor.Tensor
-	det   *detect.Result
-	err   error
+	out *tensor.Tensor
+	det *detect.Result
+	err error
 }
 
 // NewServer starts cfg.Workers batch executors over the shared Program
@@ -233,7 +222,6 @@ func NewServer(prog *engine.Program, cfg Config) *Server {
 		cfg:       cfg,
 		queue:     make(chan *request, cfg.QueueCap),
 		headArena: tensor.NewArena(),
-		sched:     newEDFQueue(),
 	}
 	s.scratchPool.New = func() any { return new(ingestScratch) }
 	if cfg.Watchdog > 0 {
@@ -281,28 +269,6 @@ func (s *Server) TryInfer(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return r.out, nil
 }
 
-// InferHeads runs one image through the service and returns every
-// detection-head tensor (in the model Detect sink's input order). Heads
-// requests ride the same micro-batching queue as Infer and co-batch
-// with it.
-func (s *Server) InferHeads(in *tensor.Tensor) ([]*tensor.Tensor, error) {
-	r, err := s.submit(&request{kind: kindHeads, in: in}, true)
-	if err != nil {
-		return nil, err
-	}
-	return r.heads, nil
-}
-
-// TryInferHeads is InferHeads, except it returns ErrQueueFull instead
-// of blocking when the queue is saturated.
-func (s *Server) TryInferHeads(in *tensor.Tensor) ([]*tensor.Tensor, error) {
-	r, err := s.submit(&request{kind: kindHeads, in: in}, false)
-	if err != nil {
-		return nil, err
-	}
-	return r.heads, nil
-}
-
 // Detect runs the full image -> boxes pipeline on the batch executors:
 // img is an encoded image (PPM/PGM/PNG/JPEG), pipe the postprocess config
 // (Spec required), resH x resW the letterbox canvas resolution.
@@ -313,48 +279,28 @@ func (s *Server) TryInferHeads(in *tensor.Tensor) ([]*tensor.Tensor, error) {
 // (descending score) and the per-stage timing (Forward is the whole
 // co-batched forward pass).
 func (s *Server) Detect(img []byte, pipe detect.Config, resH, resW int) (*detect.Result, error) {
-	return s.detect(img, pipe, resH, resW, FrameOptions{Block: true})
+	return s.DetectFrame(img, pipe, resH, resW, FrameOptions{Block: true})
 }
 
-// TryDetect is Detect, except it returns ErrQueueFull instead of
-// blocking when the queue is saturated — the load-shedding entry point
-// the HTTP front end uses for /detect when ShedLoad is on.
-func (s *Server) TryDetect(img []byte, pipe detect.Config, resH, resW int) (*detect.Result, error) {
-	return s.detect(img, pipe, resH, resW, FrameOptions{})
-}
-
-// FrameOptions parameterises a deadline-aware detection submission
-// (DetectFrame). The zero value reproduces TryDetect.
+// FrameOptions parameterises a detection submission (DetectFrame). The
+// zero value has no deadline and sheds with ErrQueueFull instead of
+// blocking when the queue is saturated.
 type FrameOptions struct {
-	// Deadline is the caller's absolute latency budget: the EDF
-	// scheduler admits earlier deadlines first and sheds the request
-	// with ErrDeadline if the deadline has already expired when a
-	// worker picks it up. Zero means no deadline (FIFO, never shed).
+	// Deadline is the caller's absolute latency budget: admission sheds
+	// the request with ErrDeadline if the deadline has already passed
+	// when a worker gathers it. Zero means no deadline (never shed).
 	Deadline time.Time
-	// Stream and Seq identify a video frame: a frame is superseded
-	// (shed with ErrSuperseded) when a frame of the same Stream with a
-	// higher Seq enters the queue behind it — newest-frame-wins.
-	// Stream 0 disables supersession.
-	Stream uint64
-	// Seq is the frame number within Stream; it must increase
-	// monotonically for supersession to mean "fresher".
-	Seq uint64
 	// Block makes the submission wait for queue space like Detect;
-	// false sheds with ErrQueueFull like TryDetect.
+	// false sheds with ErrQueueFull instead.
 	Block bool
 }
 
-// DetectFrame is Detect with a deadline budget and an optional stream
-// identity: the request rides the same micro-batching queue, but the
-// EDF scheduler orders its admission by slack, sheds it with
-// ErrDeadline once the deadline passes unserved, and sheds it with
-// ErrSuperseded when a fresher frame of the same stream overtakes it.
-// This is the entry point internal/stream's sessions drive.
+// DetectFrame is Detect with a deadline budget and a choice of blocking
+// or load-shedding submission: the request rides the same FIFO
+// micro-batching queue, and admission sheds it with ErrDeadline if the
+// deadline passed before a worker gathered it. internal/stream's
+// sessions and the HTTP /detect handler submit through it.
 func (s *Server) DetectFrame(img []byte, pipe detect.Config, resH, resW int, opt FrameOptions) (*detect.Result, error) {
-	return s.detect(img, pipe, resH, resW, opt)
-}
-
-func (s *Server) detect(img []byte, pipe detect.Config, resH, resW int, opt FrameOptions) (*detect.Result, error) {
 	if len(pipe.Spec.Levels) == 0 {
 		return nil, fmt.Errorf("serve: Detect needs a head spec in pipe.Spec")
 	}
@@ -364,7 +310,7 @@ func (s *Server) detect(img []byte, pipe detect.Config, resH, resW int, opt Fram
 	}
 	r, err := s.submit(&request{
 		kind: kindDetect, img: img, pipe: pipe, resH: resH, resW: resW,
-		deadline: opt.Deadline, stream: opt.Stream, frameSeq: opt.Seq,
+		deadline: opt.Deadline,
 	}, opt.Block)
 	if err != nil {
 		return nil, err
@@ -421,14 +367,12 @@ func (s *Server) Close() {
 }
 
 // workerScratch is one executor's reusable state: the gather timer and
-// the batch/group/input/admission slices, all retained across batches
-// so the steady-state executor loop allocates nothing of its own.
+// the batch/input slices, all retained across batches so the
+// steady-state executor loop allocates nothing of its own.
 type workerScratch struct {
-	timer    *time.Timer
-	batch    []*request
-	ins      []*tensor.Tensor
-	admitted []*request
-	shed     []shedRequest
+	timer *time.Timer
+	batch []*request
+	ins   []*tensor.Tensor
 
 	// pending is the panic-recovery ledger: a stable copy of the batch
 	// taken before execute starts compacting its slice in place. When
@@ -442,18 +386,11 @@ type workerScratch struct {
 	cur *request
 }
 
-// shedRequest pairs a request the scheduler dropped with the reason it
-// reports to the caller.
-type shedRequest struct {
-	req *request
-	err error
-}
-
 // worker pulls a request, tops the batch up to MaxBatch (waiting at
-// most MaxDelay), reorders the batch through the shared EDF queue
-// (shedding expired and superseded frames), runs one batched forward,
-// and replies to every caller. sl is the worker's watchdog slot (nil
-// when the watchdog is disabled).
+// most MaxDelay), sheds the requests whose deadline already passed,
+// runs one batched forward per shape group, and replies to every
+// caller. sl is the worker's watchdog slot (nil when the watchdog is
+// disabled).
 //
 // A panic inside execute is contained there (recoverBatch answers the
 // batch); the deferred recover here is the last-resort backstop for
@@ -471,57 +408,37 @@ func (s *Server) worker(sl *wdSlot) {
 	ws := &workerScratch{timer: time.NewTimer(time.Hour)}
 	ws.timer.Stop()
 	for first := range s.queue {
-		if batch := s.admit(ws, s.gather(ws, first)); len(batch) > 0 {
+		if batch := s.admit(s.gather(ws, first)); len(batch) > 0 {
 			s.execute(ws, sl, batch)
 		}
 	}
 }
 
-// admit routes one gathered batch through the shared EDF queue: every
-// request is pushed, then exactly as many entries are popped in
-// earliest-deadline-first order while the scheduler lock is held once.
-// Because pushes and pops are balanced under a single lock hold, the
-// queue returns to its prior size after every call no matter how many
-// workers interleave — no request is ever stranded — while urgent
-// frames gathered by one worker may run in the batch of another that
-// pops first. Entries whose deadline already expired are shed with
-// ErrDeadline, entries superseded by a fresher frame of their stream
-// with ErrSuperseded; the survivors, in EDF order, become the batch.
-func (s *Server) admit(ws *workerScratch, batch []*request) []*request {
+// admit is the deadline filter between gather and execute: every
+// request of the gathered batch whose deadline has already passed is
+// answered with ErrDeadline instead of costing a forward pass, and the
+// rest are returned in arrival order, compacted in place into batch's
+// backing array.
+func (s *Server) admit(batch []*request) []*request {
 	now := s.cfg.clock()
-	admitted, shed := ws.admitted[:0], ws.shed[:0]
-	s.schedMu.Lock()
+	admitted := batch[:0]
 	for _, req := range batch {
-		s.sched.push(req)
-	}
-	for range batch {
-		req, stale := s.sched.pop()
-		if req == nil {
-			break // counts are balanced; only a bug leaves the queue short
-		}
-		switch {
-		case stale:
-			shed = append(shed, shedRequest{req, ErrSuperseded})
-		case expired(req, now):
-			shed = append(shed, shedRequest{req, ErrDeadline})
-		default:
-			admitted = append(admitted, req)
-		}
-	}
-	s.schedMu.Unlock()
-	ws.admitted, ws.shed = admitted, shed
-	// Reply to the shed requests outside the scheduler lock: the
-	// response channels are buffered, but lock discipline keeps sends
-	// out of critical sections.
-	for _, sr := range shed {
-		if sr.err == ErrSuperseded {
-			atomic.AddUint64(&s.stats.superseded, 1)
-		} else {
+		if expired(req, now) {
 			atomic.AddUint64(&s.stats.deadlineShed, 1)
+			s.reply(req, response{err: ErrDeadline})
+			continue
 		}
-		s.reply(sr.req, response{err: sr.err})
+		admitted = append(admitted, req)
 	}
 	return admitted
+}
+
+// expired reports whether req's slack was already negative at `now`:
+// its deadline passed before a worker could admit it.
+//
+//rtoss:noalloc
+func expired(req *request, now time.Time) bool {
+	return !req.deadline.IsZero() && now.After(req.deadline)
 }
 
 // gather collects up to MaxBatch-1 additional requests behind first
@@ -725,7 +642,7 @@ func (s *Server) executeGroup(ws *workerScratch, group []*request) {
 	anyHeads := false
 	for _, req := range group {
 		ins = append(ins, req.in)
-		anyHeads = anyHeads || req.kind != kindInfer
+		anyHeads = anyHeads || req.kind == kindDetect
 	}
 	ws.ins = ins
 	// A group containing any detection request runs the heads path
@@ -746,8 +663,8 @@ func (s *Server) executeGroup(ws *workerScratch, group []*request) {
 	if anyHeads {
 		// The server's arena feeds the per-image head copies; the
 		// detect branch below returns each request's heads as soon
-		// as postprocess is done with them. Heads that escape to
-		// InferHeads/Infer callers are simply never recycled.
+		// as postprocess is done with them. A head that escapes to an
+		// Infer caller is simply never recycled.
 		heads, err = s.prog.HeadsBatchArena(ins, s.headArena)
 	} else {
 		outs, err = s.prog.ForwardBatch(ins)
@@ -790,8 +707,6 @@ func (s *Server) executeGroup(ws *workerScratch, group []*request) {
 					Decode:     pst.Decode + pst.NMS,
 				},
 			}
-		case req.kind == kindHeads:
-			r.heads = heads[i]
 		case anyHeads:
 			r.out = heads[i][0]
 		default:
@@ -878,7 +793,7 @@ type serverStats struct {
 	maxBatch                   int64
 	latencyNS, maxLatencyNS    int64
 
-	// Detection pipeline counters (Detect/TryDetect requests).
+	// Detection pipeline counters (Detect/DetectFrame requests).
 	// preprocesses counts separately from detects: a request that
 	// preprocessed but failed its forward/postprocess must not skew
 	// the other's average.
@@ -889,14 +804,12 @@ type serverStats struct {
 	preprocessNS          int64
 	decodeNS, nmsNS       int64
 
-	// Deadline-scheduler counters (DetectFrame requests). All four are
-	// plain atomics so /stats snapshots cannot tear under -race:
-	// deadlineShed counts frames dropped at admission with negative
-	// slack, superseded counts frames overtaken by a fresher frame of
-	// their stream, and hits/misses split the frames that were served
-	// by whether they finished inside their budget.
+	// Deadline counters (DetectFrame requests). All three are plain
+	// atomics so /stats snapshots cannot tear under -race: deadlineShed
+	// counts frames dropped at admission because their deadline had
+	// passed, and hits/misses split the frames that were served by
+	// whether they finished inside their budget.
 	deadlineShed   uint64
-	superseded     uint64
 	deadlineHits   uint64
 	deadlineMisses uint64
 
@@ -961,7 +874,7 @@ func atomicMax(p *int64, v int64) {
 // for the batched detection path — the per-stage postprocess counters.
 type Stats struct {
 	Requests               uint64 // accepted requests
-	Rejected               uint64 // TryInfer/TryDetect load-shed rejections
+	Rejected               uint64 // TryInfer/non-blocking DetectFrame load-shed rejections
 	Errors                 uint64 // requests that returned an error
 	Completed              uint64 // images that went through a forward pass
 	Batches                uint64 // batched forward passes executed
@@ -983,15 +896,20 @@ type Stats struct {
 	AvgDecode     time.Duration
 	AvgNMS        time.Duration
 
-	// Deadline-scheduler counters (DetectFrame requests): how many
-	// frames were shed unserved because their deadline had already
-	// expired (DeadlineShed) or a fresher frame of the same stream
-	// overtook them (Superseded), and how the served ones split into
-	// on-budget (DeadlineHits) vs late (DeadlineMisses).
+	// Deadline counters (DetectFrame requests): how many frames were
+	// shed unserved because their deadline had already expired
+	// (DeadlineShed), and how the served ones split into on-budget
+	// (DeadlineHits) vs late (DeadlineMisses).
 	DeadlineShed   uint64
-	Superseded     uint64
 	DeadlineHits   uint64
 	DeadlineMisses uint64
+
+	// Superseded is always 0: the server sheds no frame for freshness.
+	// Newest-frame-wins happens in the stream session's mailbox, which
+	// counts its evictions as dropped_stale.
+	//
+	// Deprecated: kept only so existing readers still compile.
+	Superseded uint64
 
 	// Robustness counters: Panics counts executor panics survived
 	// (each answers only the poisoned request with an error), Requeues
@@ -1017,7 +935,6 @@ func (st *serverStats) snapshot() Stats {
 		Boxes:      atomic.LoadUint64(&st.boxes),
 
 		DeadlineShed:   atomic.LoadUint64(&st.deadlineShed),
-		Superseded:     atomic.LoadUint64(&st.superseded),
 		DeadlineHits:   atomic.LoadUint64(&st.deadlineHits),
 		DeadlineMisses: atomic.LoadUint64(&st.deadlineMisses),
 

@@ -2,10 +2,10 @@
 // batch executors in internal/serve: a frame parser for MJPEG-style
 // multipart and raw length-prefixed frame sequences, per-stream
 // sessions with a newest-frame-wins mailbox, and a hub that fans the
-// sessions into serve's deadline-aware (EDF) scheduler. Under load a
-// stream degrades by dropping stale frames — never by serving an
-// ever-older backlog — and every drop/deadline outcome is counted
-// atomically for /stats.
+// sessions into serve's FIFO queue, whose admission sheds frames whose
+// deadline has passed. Under load a stream degrades by dropping stale
+// frames — never by serving an ever-older backlog — and every
+// drop/deadline outcome is counted atomically for /stats.
 package stream
 
 import (

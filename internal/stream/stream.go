@@ -19,9 +19,9 @@ import (
 //     unserved frame, that frame is evicted and counted dropped_stale —
 //     newest-frame-wins at the edge, before a byte reaches the queue.
 //   - The pump serves at most one frame at a time through
-//     Server.DetectFrame with the stream identity and a deadline of
-//     capture+budget, so serve's EDF scheduler orders streams by slack
-//     and sheds anything that expired or was superseded in the queue.
+//     Server.DetectFrame with a deadline of capture+budget. The frame
+//     joins serve's FIFO queue, and admission sheds it with
+//     ErrDeadline if the deadline passed before a worker gathered it.
 //     One in-flight frame per session also means a session's results
 //     arrive strictly in capture order: no frame is ever served after
 //     a fresher frame of the same stream.
@@ -77,8 +77,9 @@ type Result struct {
 	// Det is the detection result; nil when the frame was shed or
 	// failed.
 	Det *detect.Result
-	// Err is nil for a served frame, serve.ErrSuperseded /
-	// serve.ErrDeadline for a shed one, or the pipeline error.
+	// Err is nil for a served frame, serve.ErrSuperseded for a frame
+	// evicted from the mailbox, serve.ErrDeadline for one shed at
+	// admission, or the pipeline error.
 	Err error
 	// Latency is push-to-resolution time.
 	Latency time.Duration
@@ -91,7 +92,7 @@ type Result struct {
 type counters struct {
 	framesIn        atomic.Uint64
 	framesServed    atomic.Uint64
-	droppedStale    atomic.Uint64 // mailbox evictions + queue supersessions
+	droppedStale    atomic.Uint64 // mailbox evictions
 	droppedDeadline atomic.Uint64
 	errored         atomic.Uint64
 	onTime          atomic.Uint64
@@ -381,7 +382,7 @@ func (s *Session) pump() {
 
 func (s *Session) serveFrame(f frame) {
 	h := s.hub
-	opt := serve.FrameOptions{Stream: s.id, Seq: f.seq, Block: true}
+	opt := serve.FrameOptions{Block: true}
 	if s.budget > 0 {
 		opt.Deadline = f.at.Add(s.budget)
 	}
@@ -400,9 +401,6 @@ func (s *Session) serveFrame(f frame) {
 			s.stats.onTime.Add(1)
 			h.total.onTime.Add(1)
 		}
-	case errors.Is(err, serve.ErrSuperseded):
-		s.stats.droppedStale.Add(1)
-		h.total.droppedStale.Add(1)
 	case errors.Is(err, serve.ErrDeadline):
 		s.stats.droppedDeadline.Add(1)
 		h.total.droppedDeadline.Add(1)
