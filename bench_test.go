@@ -7,7 +7,8 @@ import (
 )
 
 // One benchmark per table and figure of the paper's evaluation (§V),
-// plus the DESIGN.md ablations: `go test -bench=. -benchmem` runs the
+// plus the ablations (docs/ARCHITECTURE.md §Substitutions and
+// ablations): `go test -bench=. -benchmem` runs the
 // full reproduction harness and reports the cost of regenerating each
 // artefact. Each iteration rebuilds its models and re-runs the complete
 // pipeline (prune → estimate → assess → render).

@@ -1,5 +1,6 @@
 // Command paperbench regenerates every table and figure of the paper's
-// evaluation section plus the DESIGN.md ablations, writing the full
+// evaluation section plus the ablations (docs/ARCHITECTURE.md
+// §Substitutions and ablations), writing the full
 // report to stdout (and optionally a file via -o). This is the one-shot
 // reproduction entry point:
 //

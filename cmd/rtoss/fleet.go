@@ -59,7 +59,7 @@ func routeCmd(args []string) error {
 	for _, u := range urls {
 		fmt.Printf("  shard %s\n", u)
 	}
-	fmt.Printf("  POST /detect, /infer  consistent-hash by model key, failover on 5xx\n")
+	fmt.Printf("  POST /detect  consistent-hash by model key, failover on 5xx\n")
 	fmt.Printf("  GET  /stats, /healthz, /program\n")
 	return serveGracefully(*addr, rt.Handler(), rt.Close)
 }

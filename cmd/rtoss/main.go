@@ -247,7 +247,7 @@ func serveCmd(args []string) error {
 	modelName := fs.String("model", "yolov5s", "model to serve (yolov5s|retinanet)")
 	variant := fs.String("variant", "rtoss-3ep", "pruning variant (dense|rtoss-2ep..rtoss-5ep)")
 	engineMode := fs.String("engine", "sparse", "kernel dispatch: dense|sparse|auto")
-	res := fs.Int("res", 64, "input resolution (HxW) accepted by /infer")
+	res := fs.Int("res", 64, "letterbox resolution (HxW) of /detect and /stream images")
 	maxBatch := fs.Int("max-batch", 8, "max images coalesced into one forward")
 	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "max wait for a fuller batch")
 	workers := fs.Int("workers", 2, "concurrent batch executors")
@@ -310,19 +310,18 @@ func serveCmd(args []string) error {
 		Watchdog: *watchdog,
 	})
 	defer srv.Close()
-	inC, hw := prog.Model().InputC, *res
+	hw := *res
 	pipe := detect.Config{Spec: spec, ExactMath: *exact}
 	hub := stream.NewHub(srv, stream.Config{Pipe: pipe, ResH: hw, ResW: hw, Budget: *budget})
 	defer hub.Close()
 	fmt.Printf("serving on http://%s\n", *addr)
-	fmt.Printf("  POST /infer   %d float32 LE = %dx%dx%d image\n", inC*hw*hw, inC, hw, hw)
 	fmt.Printf("  POST /detect  PPM/PGM/PNG/JPEG image -> JSON detections\n")
 	fmt.Printf("  POST /stream  MJPEG multipart or length-prefixed frame sequence -> JSON summary\n")
 	fmt.Printf("  GET  /stats, /healthz, /program (warm-handoff snapshot)\n")
 	mux := http.NewServeMux()
 	mux.Handle("/", serve.NewHandler(srv, serve.HandlerConfig{
-		InputC: inC, InputH: hw, InputW: hw,
-		Detect:      &pipe,
+		InputH: hw, InputW: hw,
+		Detect:      pipe,
 		Labels:      kitti.ClassNames[:],
 		ShedLoad:    *shed,
 		ExtraStats:  hub.StatsMap,

@@ -15,7 +15,7 @@
 //     automatic dispatch), plus the DAG's topological wavefront levels
 //     and the consumer counts of the activation buffer plan. One
 //     Program safely serves any number of concurrent goroutines.
-//   - Run state is cheap and per-request: each Output/ForwardBatch call
+//   - Run state is cheap and per-request: each Output/HeadsBatch call
 //     borrows a runState (activation arena + buffer refcounts) from the
 //     Program's sync.Pool, so steady-state serving re-uses activation
 //     buffers across requests instead of re-allocating them.

@@ -34,10 +34,11 @@ func csrDetector(t testing.TB, seed uint64) *nn.Model {
 	return m
 }
 
-// TestForwardBatchMatchesSingle checks the batched forward against N
-// independent single-image passes for every kernel path: dense,
-// pattern-grouped and CSR.
-func TestForwardBatchMatchesSingle(t *testing.T) {
+// TestHeadsBatchKernelPathsMatchSingle checks the batched forward
+// against N independent single-image passes for every kernel path:
+// dense, pattern-grouped and CSR. tinyDetector's one head feeds its
+// Detect sink, so head 0 of each image is that image's Output.
+func TestHeadsBatchKernelPathsMatchSingle(t *testing.T) {
 	cases := []struct {
 		name  string
 		model func(testing.TB) *nn.Model
@@ -75,19 +76,19 @@ func TestForwardBatchMatchesSingle(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = randInput(r, 3, 32, 32)
 			}
-			batched, err := p.ForwardBatch(inputs)
+			batched, err := p.HeadsBatch(inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(batched) != n {
-				t.Fatalf("ForwardBatch returned %d outputs for %d inputs", len(batched), n)
+				t.Fatalf("HeadsBatch returned %d results for %d inputs", len(batched), n)
 			}
 			for i, in := range inputs {
 				want, err := p.Output(in)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := maxAbsDiff(t, batched[i], want); d > 1e-5 {
+				if d := maxAbsDiff(t, batched[i][0], want); d > 1e-5 {
 					t.Errorf("image %d: batched output diverges from single forward by %g", i, d)
 				}
 			}
@@ -95,9 +96,9 @@ func TestForwardBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestForwardBatchInputShapes checks rank-3 inputs are accepted and
+// TestHeadsBatchInputShapes checks rank-3 inputs are accepted and
 // mismatched or empty batches error instead of panicking.
-func TestForwardBatchInputShapes(t *testing.T) {
+func TestHeadsBatchInputShapes(t *testing.T) {
 	m := tinyDetector(t, 71)
 	p, err := Compile(m, Options{})
 	if err != nil {
@@ -105,20 +106,20 @@ func TestForwardBatchInputShapes(t *testing.T) {
 	}
 	r := rng.New(72)
 	chw := randInput(r, 3, 32, 32).Reshape(3, 32, 32)
-	outs, err := p.ForwardBatch([]*tensor.Tensor{chw, chw})
+	heads, err := p.HeadsBatch([]*tensor.Tensor{chw, chw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 2 || maxAbsDiff(t, outs[0], outs[1]) != 0 {
-		t.Fatal("identical rank-3 inputs should produce identical outputs")
+	if len(heads) != 2 || maxAbsDiff(t, heads[0][0], heads[1][0]) != 0 {
+		t.Fatal("identical rank-3 inputs should produce identical heads")
 	}
-	if _, err := p.ForwardBatch(nil); err == nil {
+	if _, err := p.HeadsBatch(nil); err == nil {
 		t.Fatal("empty batch should error")
 	}
-	if _, err := p.ForwardBatch([]*tensor.Tensor{chw, tensor.New(3, 16, 16)}); err == nil {
+	if _, err := p.HeadsBatch([]*tensor.Tensor{chw, tensor.New(3, 16, 16)}); err == nil {
 		t.Fatal("mismatched image shapes should error")
 	}
-	if _, err := p.ForwardBatch([]*tensor.Tensor{tensor.New(2, 3, 32, 32)}); err == nil {
+	if _, err := p.HeadsBatch([]*tensor.Tensor{tensor.New(2, 3, 32, 32)}); err == nil {
 		t.Fatal("multi-image tensor in a batch list should error")
 	}
 }
@@ -159,9 +160,9 @@ func TestProgramSharedConcurrently(t *testing.T) {
 						got = all[len(all)-1]
 					}
 				default:
-					var outs []*tensor.Tensor
-					if outs, err = p.ForwardBatch([]*tensor.Tensor{in, in, in}); err == nil {
-						got = outs[i%3]
+					var heads [][]*tensor.Tensor
+					if heads, err = p.HeadsBatch([]*tensor.Tensor{in, in, in}); err == nil {
+						got = heads[i%3][0]
 					}
 				}
 				if err != nil {

@@ -53,8 +53,12 @@ func (p *Program) Heads(input *tensor.Tensor) ([]*tensor.Tensor, error) {
 
 // HeadsBatch stacks the inputs into one batch, runs the model once, and
 // returns each image's detection-head tensors: result[i][h] is head h
-// of image i, each a caller-owned [1, C, H, W] tensor. Input rules
-// match ForwardBatch. The batch-sized head buffers are split into
+// of image i, each a caller-owned [1, C, H, W] tensor. Every input must
+// be a single image ([C, H, W] or [1, C, H, W]) of identical shape.
+// Results match len(inputs) independent Heads calls up to
+// floating-point summation order; batched convolutions are additionally
+// split across the worker pool, so one batched pass beats N sequential
+// single-image passes. The batch-sized head buffers are split into
 // per-image copies and returned to the run's arena, so steady-state
 // serving reuses them across batches.
 func (p *Program) HeadsBatch(inputs []*tensor.Tensor) (heads [][]*tensor.Tensor, err error) {
@@ -66,8 +70,7 @@ func (p *Program) HeadsBatch(inputs []*tensor.Tensor) (heads [][]*tensor.Tensor,
 // A serving executor passes a long-lived arena and returns each head
 // tensor via dst.Put after postprocessing, so steady-state detect
 // batches recycle warm head buffers instead of allocating
-// heads×batch tensors per forward. Callers that hand head tensors to
-// clients (Heads requests) must NOT recycle them.
+// heads×batch tensors per forward.
 func (p *Program) HeadsBatchArena(inputs []*tensor.Tensor, dst *tensor.Arena) (heads [][]*tensor.Tensor, err error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("engine: HeadsBatch of no inputs")
@@ -97,30 +100,6 @@ func (p *Program) HeadsBatchArena(inputs []*tensor.Tensor, dst *tensor.Arena) (h
 		return nil, err
 	}
 	return heads, nil
-}
-
-// ForwardBatch stacks the inputs into one NCHW batch, runs the model
-// once, and returns each image's final output tensor. Every input must
-// be a single image ([C, H, W] or [1, C, H, W]) of identical shape. The
-// results own their data; outputs match len(inputs) independent Output
-// calls up to floating-point summation order. Batched convolutions are
-// additionally split across the worker pool, so one batched pass beats
-// N sequential single-image passes.
-func (p *Program) ForwardBatch(inputs []*tensor.Tensor) (outs []*tensor.Tensor, err error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("engine: ForwardBatch of no inputs")
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			outs, err = nil, fmt.Errorf("engine: ForwardBatch: %v", r)
-		}
-	}()
-	batch := tensor.Stack(inputs)
-	out, err := p.Output(batch)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.SplitBatch(out), nil
 }
 
 // runCtx is the per-run execution context: the input, the output table,

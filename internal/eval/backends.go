@@ -121,10 +121,9 @@ func newHTTPBackend(cfg Config) (backend, error) {
 		return nil, fmt.Errorf("eval: self-hosting detect server: %w", err)
 	}
 	b.srv = serve.NewServer(prog, serve.Config{})
-	pipe := cfg.Detect
 	b.hs = &http.Server{Handler: serve.NewHandler(b.srv, serve.HandlerConfig{
-		InputC: prog.Model().InputC, InputH: cfg.Res, InputW: cfg.Res,
-		Detect: &pipe,
+		InputH: cfg.Res, InputW: cfg.Res,
+		Detect: cfg.Detect,
 		Labels: kitti.ClassNames[:],
 	})}
 	go b.hs.Serve(ln)

@@ -1,9 +1,10 @@
 // Package experiments is the reproduction harness: one runner per table
 // and figure of the paper's evaluation (§V), plus the ablations called
-// out in DESIGN.md. Each runner assembles the full pipeline — build
-// model, prune, measure compression/sparsity, estimate latency and
-// energy on both platforms, assess accuracy — and renders the same rows
-// or series the paper reports.
+// out in docs/ARCHITECTURE.md §Substitutions and ablations. Each runner
+// assembles the full pipeline — build model, prune, measure
+// compression/sparsity, estimate latency and energy on both platforms,
+// assess accuracy — and renders the same rows or series the paper
+// reports.
 package experiments
 
 import (
@@ -450,7 +451,7 @@ func Fig8(cols int) (string, error) {
 
 // SceneMAP evaluates a framework's quality score on the synthetic KITTI
 // scenes with the real mAP evaluator (the end-to-end cross-check of the
-// surrogate; see EXPERIMENTS.md).
+// surrogate; see docs/ARCHITECTURE.md §Substitutions and ablations).
 func SceneMAP(modelName string, frameworks []string, scenes int) (map[string]float64, error) {
 	rs, err := RunFrameworks(modelName)
 	if err != nil {

@@ -33,7 +33,7 @@ func fig8RNG(framework string) *rng.RNG {
 }
 
 // ---------------------------------------------------------------------
-// Ablations (DESIGN.md A1-A3)
+// Ablations (A1-A3, docs/ARCHITECTURE.md §Substitutions and ablations)
 
 // AblationDFS compares pruning cost with and without Algorithm 1
 // grouping: the number of best-fit searches and wall time.

@@ -24,7 +24,8 @@ type TradeoffPoint struct {
 // TradeoffCurve sweeps a family of pruner configurations over a model
 // and returns the resulting operating points — the design-space view
 // behind the paper's fixed operating points (an extension beyond the
-// paper's tables; see DESIGN.md "optional/extension" work).
+// paper's tables; see docs/ARCHITECTURE.md §Substitutions and
+// ablations).
 type TradeoffCurve struct {
 	Family string
 	Model  string

@@ -15,8 +15,8 @@
 //	                                                                 │
 //	                                                 serve.Server (micro-batch)
 //
-// The router never interprets payloads: /detect and /infer bodies pass
-// through byte-for-byte, so fleet-wide results are bitwise identical
+// The router never interprets payloads: /detect bodies pass through
+// byte-for-byte, so fleet-wide results are bitwise identical
 // to a single shard's.
 package fleet
 

@@ -142,7 +142,6 @@ func (rt *Router) Handler() http.Handler {
 		http.Error(w, "fleet: /stream is not proxied; connect to a shard's rtoss serve directly", http.StatusNotImplemented)
 	})
 	mux.HandleFunc("POST /detect", rt.proxy)
-	mux.HandleFunc("POST /infer", rt.proxy)
 	mux.HandleFunc("GET /program", rt.proxy)
 	return mux
 }

@@ -45,9 +45,8 @@ type ShardConfig struct {
 	// Default is the model key used when a request carries no routing
 	// parameters.
 	Default serve.Key
-	// Res is the square letterbox resolution for /detect and the
-	// /infer tensor shape (default 256; must be a multiple of the
-	// head stride for zoo models).
+	// Res is the square letterbox resolution for /detect (default 256;
+	// must be a multiple of the head stride for zoo models).
 	Res int
 	// Serve configures each per-model server (batching, workers,
 	// queue bound).
@@ -141,8 +140,8 @@ func (sh *Shard) build(k serve.Key) (*serve.Server, http.Handler, error) {
 	srv := serve.NewServer(prog, sh.cfg.Serve)
 	key := k
 	h := serve.NewHandler(srv, serve.HandlerConfig{
-		InputC: prog.Model().InputC, InputH: sh.cfg.Res, InputW: sh.cfg.Res,
-		Detect:      &pipe,
+		InputH: sh.cfg.Res, InputW: sh.cfg.Res,
+		Detect:      pipe,
 		Labels:      sh.cfg.Labels,
 		ShedLoad:    sh.cfg.ShedLoad,
 		SnapshotKey: &key,
@@ -177,8 +176,8 @@ func (sh *Shard) pipeFor(k serve.Key, prog *engine.Program) (detect.Config, erro
 	return detect.Config{Spec: spec, ExactMath: sh.cfg.Exact}, nil
 }
 
-// Handler serves the shard's HTTP surface: the per-model /detect,
-// /infer and /program routes dispatched by model key, plus shard-level
+// Handler serves the shard's HTTP surface: the per-model /detect and
+// /program routes dispatched by model key, plus shard-level
 // /healthz and merged /stats. /stream is not proxied at the fleet
 // tier, so the shard answers 501 for symmetry with the router.
 func (sh *Shard) Handler() http.Handler {
@@ -219,7 +218,6 @@ func (sh *Shard) Handler() http.Handler {
 		e.h.ServeHTTP(w, r)
 	}
 	mux.HandleFunc("POST /detect", serveModel)
-	mux.HandleFunc("POST /infer", serveModel)
 	mux.HandleFunc("POST /stream", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fleet: /stream is not served at the fleet tier; run rtoss serve for streaming sessions", http.StatusNotImplemented)
 	})

@@ -23,7 +23,8 @@
 // single pattern-gain constant is anchored on one pruned row
 // (R-TOSS-3EP YOLOv5s on the RTX 2080Ti). Every other speedup, energy
 // reduction, crossover and framework ordering is emergent. See
-// EXPERIMENTS.md for the paper-vs-model table.
+// docs/ARCHITECTURE.md §Substitutions and ablations for the
+// substitution and its calibration rows.
 package hw
 
 import (

@@ -1,12 +1,13 @@
 // Package kitti provides the synthetic stand-in for the KITTI 2-D
-// detection benchmark (the dataset itself cannot be downloaded in this
-// environment; see DESIGN.md §2). It generates traffic scenes with the
-// benchmark's class mix and scale distribution (distant cars are tiny,
-// near ones large; heavily truncated objects are marked difficult), and
-// simulates a detector of a given quality score over those scenes —
-// detection probability, localisation noise, confidence and false
-// positives all degrade as quality drops, with small objects degrading
-// first (the effect Fig 8 of the paper illustrates).
+// detection benchmark (the dataset itself is not available offline;
+// see docs/ARCHITECTURE.md §Substitutions and ablations). It generates
+// traffic scenes with the benchmark's class mix and scale distribution
+// (distant cars are tiny, near ones large; heavily truncated objects
+// are marked difficult), and simulates a detector of a given quality
+// score over those scenes — detection probability, localisation noise,
+// confidence and false positives all degrade as quality drops, with
+// small objects degrading first (the effect Fig 8 of the paper
+// illustrates).
 //
 // The simulated detections feed the real mAP evaluator in
 // internal/metrics, so the full detection-evaluation code path is

@@ -2,7 +2,8 @@
 // style AP/mAP evaluator (greedy IoU matching, precision-recall curve,
 // interpolated AP), and the information-retention mAP surrogate that
 // substitutes for post-pruning finetuned evaluation (the repository's
-// documented substitution for a GPU training stack; see DESIGN.md §2).
+// documented substitution for a GPU training stack; see
+// docs/ARCHITECTURE.md §Substitutions and ablations).
 package metrics
 
 import (

@@ -28,7 +28,8 @@ import (
 //     as a regulariser and can lift mAP above the unpruned baseline, as
 //     the paper itself reports for R-TOSS.
 //
-// Constants are documented in EXPERIMENTS.md; the base mAP anchors are
+// Constants are documented in docs/ARCHITECTURE.md §Substitutions and
+// ablations; the base mAP anchors are
 // calibrated once against Table 3's R-TOSS-3EP rows, everything else
 // (baseline orderings, the 2EP/3EP flip between YOLOv5s and RetinaNet)
 // is emergent.

@@ -42,8 +42,8 @@ func TestConcurrentDetectRequests(t *testing.T) {
 	s := NewServer(p, Config{MaxBatch: 4, Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32,
-		Detect: &detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05},
+		InputH: 32, InputW: 32,
+		Detect: detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05},
 		Labels: []string{"car", "pedestrian"},
 	}))
 	defer ts.Close()
@@ -126,8 +126,8 @@ func TestDetectHandlerErrorPaths(t *testing.T) {
 	s := NewServer(p, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32,
-		Detect: &detect.Config{Spec: tinySpec()},
+		InputH: 32, InputW: 32,
+		Detect: detect.Config{Spec: tinySpec()},
 	}))
 	defer ts.Close()
 	ppm := samplePPM(t)
@@ -167,16 +167,16 @@ func TestDetectHandlerErrorPaths(t *testing.T) {
 }
 
 // TestDetectShedsLoadWith503 saturates a server whose workers never
-// started (internal construction, as TestTryInferShedsLoad does) and
-// checks the shedding handler maps the full queue to 503 for both
-// endpoints — the contract a load balancer retries on.
+// started (internal construction, as TestDetectFrameShedsLoad does) and
+// checks the shedding handler maps the full queue to 503 — the contract
+// a load balancer retries on.
 func TestDetectShedsLoadWith503(t *testing.T) {
 	p := tinyProgram(t)
 	s := &Server{prog: p, cfg: Config{QueueCap: 1}.withDefaults(), queue: make(chan *request, 1)}
 	s.queue <- &request{} // saturate; no worker will ever drain this
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32,
-		Detect:   &detect.Config{Spec: tinySpec()},
+		InputH: 32, InputW: 32,
+		Detect:   detect.Config{Spec: tinySpec()},
 		ShedLoad: true,
 	}))
 	defer ts.Close()
@@ -189,16 +189,8 @@ func TestDetectShedsLoadWith503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("/detect on a full queue: status %d, want 503", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/infer", "application/octet-stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("/infer on a full queue: status %d, want 503", resp.StatusCode)
-	}
-	if st := s.Stats(); st.Rejected != 2 {
-		t.Errorf("rejected = %d, want 2", st.Rejected)
+	if st := s.Stats(); st.Rejected != 1 {
+		t.Errorf("rejected = %d, want 1", st.Rejected)
 	}
 }
 
@@ -209,9 +201,9 @@ func TestClientRoundTrip(t *testing.T) {
 	p := tinyProgram(t)
 	s := NewServer(p, Config{})
 	defer s.Close()
-	cfg := &detect.Config{Spec: tinySpec(), ScoreThreshold: 0.2}
+	cfg := detect.Config{Spec: tinySpec(), ScoreThreshold: 0.2}
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32,
+		InputH: 32, InputW: 32,
 		Detect: cfg,
 		Labels: []string{"car", "pedestrian"},
 	}))
@@ -237,7 +229,7 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := *cfg
+	pipe := cfg
 	pipe.ScoreThreshold = 0.05
 	want, err := detect.Postprocess(heads, meta, pipe)
 	if err != nil {

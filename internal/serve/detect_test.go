@@ -30,9 +30,9 @@ func TestHTTPDetect(t *testing.T) {
 	p := tinyProgram(t)
 	s := NewServer(p, Config{})
 	defer s.Close()
-	cfg := &detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05}
+	cfg := detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05}
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32,
+		InputH: 32, InputW: 32,
 		Detect: cfg,
 		Labels: []string{"car", "pedestrian"},
 	}))
@@ -92,7 +92,7 @@ func TestHTTPDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := detect.Postprocess(heads, meta, *cfg)
+	want, err := detect.Postprocess(heads, meta, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,23 +138,6 @@ func TestHTTPDetect(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
 		}
-	}
-}
-
-// TestHTTPDetectDisabled: without a Detect config the endpoint 404s.
-func TestHTTPDetectDisabled(t *testing.T) {
-	p := tinyProgram(t)
-	s := NewServer(p, Config{})
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s, HandlerConfig{InputC: 3, InputH: 32, InputW: 32}))
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/detect", "image/png", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("disabled /detect: status %d, want 404", resp.StatusCode)
 	}
 }
 

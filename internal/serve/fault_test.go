@@ -33,8 +33,8 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	s := NewServer(p, Config{MaxBatch: 4, Workers: 2, QueueCap: 64, FaultInjector: inj})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32,
-		Detect: &detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05},
+		InputH: 32, InputW: 32,
+		Detect: detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05},
 	}))
 	defer ts.Close()
 	ppm := samplePPM(t)
@@ -105,8 +105,8 @@ func TestStuckBatchWatchdog(t *testing.T) {
 	s := NewServer(p, Config{MaxBatch: 2, Workers: 1, QueueCap: 16, Watchdog: 40 * time.Millisecond, FaultInjector: inj})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32,
-		Detect: &detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05},
+		InputH: 32, InputW: 32,
+		Detect: detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05},
 	}))
 	defer ts.Close()
 	ppm := samplePPM(t)

@@ -1,36 +1,30 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	"rtoss/internal/detect"
-	"rtoss/internal/tensor"
 )
 
-// HTTP front end for a Server. Two wire formats:
+// HTTP front end for a Server:
 //
-//	POST /infer    body = C*H*W float32s (LE, raw NCHW), or empty for a
-//	               zero image → JSON {shape, l2, latency_ms}
-//	               (+ data with ?data=1)
 //	POST /detect   body = an encoded image (PPM/PGM P2/P3/P5/P6, PNG or
 //	               baseline JPEG)
 //	               → JSON {detections, count, image, timing_ms}
-//	               (?score= and ?iou= override the thresholds)
+//	               (?score= and ?iou= override the thresholds,
+//	               ?budget_ms= sets a deadline)
 //	GET  /stats    → JSON Stats snapshot
 //	GET  /healthz  → 200 "ok"
 //
-// /infer speaks raw tensors so a load generator needs no codec beyond
-// a byte order; /detect speaks images so a camera, a curl command or a
-// browser can drive the full detection pipeline.
+// /detect speaks images so a camera, a curl command or a browser can
+// drive the full detection pipeline.
 
 // maxImageBody bounds /detect request bodies (32 MiB decodes any sane
 // benchmark image).
@@ -129,17 +123,16 @@ func readBody(r *http.Request, limit int64) (*[]byte, error) {
 
 // HandlerConfig wires a Server to the HTTP front end.
 type HandlerConfig struct {
-	// InputC/InputH/InputW fix the raw-tensor shape /infer accepts.
-	InputC, InputH, InputW int
-	// Detect enables POST /detect with the given pipeline config
-	// (head spec + thresholds). Nil disables the endpoint (404).
-	Detect *detect.Config
+	// InputH/InputW are the letterbox canvas /detect resizes images to.
+	InputH, InputW int
+	// Detect is the /detect pipeline config (head spec + thresholds).
+	Detect detect.Config
 	// Labels maps class IDs to display names in /detect responses
 	// (optional; class indices are always included).
 	Labels []string
-	// ShedLoad makes /infer and /detect reject with 503 when the
-	// server's queue is full instead of blocking the connection —
-	// the right choice when a load balancer can retry elsewhere.
+	// ShedLoad makes /detect reject with 503 when the server's queue
+	// is full instead of blocking the connection — the right choice
+	// when a load balancer can retry elsewhere.
 	ShedLoad bool
 	// ExtraStats, when set, contributes extra top-level sections to
 	// the GET /stats document — the hook internal/stream uses to merge
@@ -219,37 +212,9 @@ func NewHandler(s *Server, cfg HandlerConfig) http.Handler {
 		}
 		writeJSON(w, doc)
 	})
-	mux.HandleFunc("POST /infer", func(w http.ResponseWriter, r *http.Request) {
-		in, err := readImage(r, cfg.InputC, cfg.InputH, cfg.InputW)
-		if err != nil {
-			http.Error(w, err.Error(), bodyErrCode(err))
-			return
-		}
-		start := time.Now()
-		infer := s.Infer
-		if cfg.ShedLoad {
-			infer = s.TryInfer
-		}
-		out, err := infer(in)
-		if err != nil {
-			http.Error(w, err.Error(), serveErrCode(err))
-			return
-		}
-		resp := map[string]any{
-			"shape":      out.Shape(),
-			"l2":         out.L2(),
-			"latency_ms": float64(time.Since(start)) / float64(time.Millisecond),
-		}
-		if r.URL.Query().Get("data") == "1" {
-			resp["data"] = out.Data
-		}
-		writeJSON(w, resp)
+	mux.HandleFunc("POST /detect", func(w http.ResponseWriter, r *http.Request) {
+		handleDetect(w, r, s, cfg)
 	})
-	if cfg.Detect != nil {
-		mux.HandleFunc("POST /detect", func(w http.ResponseWriter, r *http.Request) {
-			handleDetect(w, r, s, cfg)
-		})
-	}
 	if cfg.SnapshotKey != nil {
 		k := *cfg.SnapshotKey
 		mux.HandleFunc("GET /program", func(w http.ResponseWriter, r *http.Request) {
@@ -265,7 +230,7 @@ func NewHandler(s *Server, cfg HandlerConfig) http.Handler {
 // on the server's batch executors, so detection throughput scales with
 // the worker pool instead of with handler goroutines.
 func handleDetect(w http.ResponseWriter, r *http.Request, s *Server, cfg HandlerConfig) {
-	pipe := *cfg.Detect
+	pipe := cfg.Detect
 	var err error
 	if pipe.ScoreThreshold, err = queryFloat(r, "score", pipe.ScoreThreshold); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -485,30 +450,6 @@ func appendDetectionsJSON(dst []DetectionJSON, dets []detect.Detection, labels [
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// readImage decodes a request body into a [1, C, H, W] tensor. An empty
-// body means a zero image (useful for smoke tests and load generators).
-// The raw bytes pass through a pooled buffer sized from Content-Length;
-// only the float tensor handed to the queue is a fresh allocation.
-func readImage(r *http.Request, c, h, w int) (*tensor.Tensor, error) {
-	raw, err := readBody(r, int64(c*h*w*4)+1)
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading image: %w", err)
-	}
-	defer bufPool.Put(raw)
-	in := tensor.New(1, c, h, w)
-	if len(*raw) == 0 {
-		return in, nil
-	}
-	if len(*raw) != c*h*w*4 {
-		return nil, fmt.Errorf("serve: image body must be %d bytes (%dx%dx%d float32 LE), got %d",
-			c*h*w*4, c, h, w, len(*raw))
-	}
-	for i := range in.Data {
-		in.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32((*raw)[i*4:]))
-	}
-	return in, nil
-}
 
 // StatsJSON renders a Stats snapshot as the GET /stats JSON document —
 // exported so the fleet shard can publish one section per resident

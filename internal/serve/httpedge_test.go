@@ -191,7 +191,7 @@ func TestDetectRejectsOversizedBodyOverHTTP(t *testing.T) {
 	defer s.Close()
 	pipe := detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05}
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32, Detect: &pipe,
+		InputH: 32, InputW: 32, Detect: pipe,
 	}))
 	defer ts.Close()
 

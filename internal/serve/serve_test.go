@@ -2,8 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"rtoss/internal/core"
+	"rtoss/internal/detect"
 	"rtoss/internal/engine"
 	"rtoss/internal/nn"
 	"rtoss/internal/rng"
@@ -50,40 +52,81 @@ func testImage(seed uint64) *tensor.Tensor {
 	return in
 }
 
-func maxAbsDiff(a, b *tensor.Tensor) float64 {
-	var m float64
-	for i := range a.Data {
-		d := float64(a.Data[i] - b.Data[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
+// testPPM encodes a deterministic pseudo-random h x w image as PPM.
+func testPPM(t testing.TB, seed uint64, h, w int) []byte {
+	t.Helper()
+	r := rng.New(seed)
+	img := tensor.New(3, h, w)
+	for i := range img.Data {
+		img.Data[i] = float32(r.Range(0, 1))
 	}
-	return m
+	var buf bytes.Buffer
+	if err := tensor.EncodePPM(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
-// TestServerMatchesDirectOutput checks served inference returns exactly
-// what a direct Program call computes, per image, under concurrency.
+// pipelineDetect runs the in-process pipeline Server.Detect batches on
+// its executors: decode, letterbox, Heads, Postprocess.
+func pipelineDetect(t testing.TB, p *engine.Program, body []byte, pipe detect.Config, resH, resW int) []detect.Detection {
+	t.Helper()
+	img, err := tensor.DecodeImage(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canvas, meta := tensor.LetterboxImage(img, resH, resW, tensor.LetterboxFill)
+	heads, err := p.Heads(canvas.Reshape(1, 3, resH, resW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := detect.Postprocess(heads, meta, pipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// checkDetections compares served detections against the pipeline's.
+// A batched forward may sum in a different order than a single-image
+// one, so scores and box corners get a small tolerance.
+func checkDetections(t *testing.T, name string, got, want []detect.Detection) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: served %d detections, pipeline %d", name, len(got), len(want))
+		return
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Class != w.Class || math.Abs(g.Score-w.Score) > 1e-5 ||
+			math.Abs(g.Box.X1-w.Box.X1) > 1e-3 || math.Abs(g.Box.Y1-w.Box.Y1) > 1e-3 ||
+			math.Abs(g.Box.X2-w.Box.X2) > 1e-3 || math.Abs(g.Box.Y2-w.Box.Y2) > 1e-3 {
+			t.Errorf("%s: det %d served %+v, pipeline %+v", name, i, g, w)
+		}
+	}
+}
+
+// TestServerMatchesDirectOutput checks served detection returns what
+// the in-process pipeline computes, per image, under concurrency.
 func TestServerMatchesDirectOutput(t *testing.T) {
 	p := tinyProgram(t)
 	s := NewServer(p, Config{MaxBatch: 4, MaxDelay: 5 * time.Millisecond})
 	defer s.Close()
+	pipe := detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05}
 
 	const n = 12
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	outs := make([]*tensor.Tensor, n)
-	ins := make([]*tensor.Tensor, n)
-	for i := range ins {
-		ins[i] = testImage(uint64(100 + i))
+	outs := make([]*detect.Result, n)
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		bodies[i] = testPPM(t, uint64(100+i), 24, 48)
 	}
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = s.Infer(ins[i])
+			outs[i], errs[i] = s.Detect(bodies[i], pipe, 32, 32)
 		}(i)
 	}
 	wg.Wait()
@@ -91,13 +134,7 @@ func TestServerMatchesDirectOutput(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		want, err := p.Output(ins[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(outs[i], want); d > 1e-5 {
-			t.Errorf("request %d: served output diverges from direct forward by %g", i, d)
-		}
+		checkDetections(t, fmt.Sprintf("request %d", i), outs[i].Detections, pipelineDetect(t, p, bodies[i], pipe, 32, 32))
 	}
 	st := s.Stats()
 	if st.Requests != n || st.Completed != n || st.Errors != 0 {
@@ -119,14 +156,15 @@ func TestServerMicroBatches(t *testing.T) {
 	// into shared batches.
 	s := NewServer(p, Config{MaxBatch: 8, MaxDelay: 50 * time.Millisecond, Workers: 1})
 	defer s.Close()
-	in := testImage(7)
+	pipe := detect.Config{Spec: tinySpec()}
+	body := testPPM(t, 7, 32, 32)
 	const n = 16
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Infer(in); err != nil {
+			if _, err := s.Detect(body, pipe, 32, 32); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -141,68 +179,55 @@ func TestServerMicroBatches(t *testing.T) {
 	}
 }
 
-// TestServerMixedShapesPartition checks requests of different (legal)
-// resolutions co-exist in one queue: batches are partitioned by shape,
-// and a malformed request fails alone instead of poisoning the valid
-// requests it was coalesced with.
+// TestServerMixedShapesPartition checks requests for different (legal)
+// canvas sizes co-exist in one queue: batches are partitioned by canvas
+// size, and an undecodable request fails alone instead of poisoning the
+// valid requests it was coalesced with.
 func TestServerMixedShapesPartition(t *testing.T) {
 	p := tinyProgram(t)
 	// One slow worker and a generous delay force mixed-shape coalescing.
 	s := NewServer(p, Config{MaxBatch: 16, MaxDelay: 50 * time.Millisecond, Workers: 1})
 	defer s.Close()
+	pipe := detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05}
 
-	small := testImage(31) // 32x32, the nominal resolution
-	big := tensor.New(1, 3, 64, 64)
-	r := rng.New(32)
-	for i := range big.Data {
-		big.Data[i] = float32(r.Range(-1, 1))
-	}
-	bad := tensor.New(2, 3, 32, 32) // multi-image tensors are not images
-
-	wantSmall, err := p.Output(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBig, err := p.Output(big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := testPPM(t, 31, 24, 48)
+	wantSmall := pipelineDetect(t, p, body, pipe, 32, 32)
+	wantBig := pipelineDetect(t, p, body, pipe, 64, 64)
 
 	type result struct {
-		out *tensor.Tensor
+		res *detect.Result
 		err error
 	}
-	ins := []*tensor.Tensor{small, big, bad, small, big}
-	results := make([]result, len(ins))
+	reqs := []struct {
+		body []byte
+		res  int
+	}{{body, 32}, {body, 64}, {[]byte("not an image"), 32}, {body, 32}, {body, 64}}
+	results := make([]result, len(reqs))
 	var wg sync.WaitGroup
-	for i, in := range ins {
+	for i, rq := range reqs {
 		wg.Add(1)
-		go func(i int, in *tensor.Tensor) {
+		go func(i int, body []byte, res int) {
 			defer wg.Done()
-			out, err := s.Infer(in)
+			out, err := s.Detect(body, pipe, res, res)
 			results[i] = result{out, err}
-		}(i, in)
+		}(i, rq.body, rq.res)
 	}
 	wg.Wait()
 
 	for _, i := range []int{0, 3} {
 		if results[i].err != nil {
-			t.Fatalf("small request %d failed: %v", i, results[i].err)
+			t.Fatalf("32x32 request %d failed: %v", i, results[i].err)
 		}
-		if d := maxAbsDiff(results[i].out, wantSmall); d > 1e-5 {
-			t.Errorf("small request %d diverges by %g", i, d)
-		}
+		checkDetections(t, fmt.Sprintf("32x32 request %d", i), results[i].res.Detections, wantSmall)
 	}
 	for _, i := range []int{1, 4} {
 		if results[i].err != nil {
-			t.Fatalf("big request %d failed: %v", i, results[i].err)
+			t.Fatalf("64x64 request %d failed: %v", i, results[i].err)
 		}
-		if d := maxAbsDiff(results[i].out, wantBig); d > 1e-5 {
-			t.Errorf("big request %d diverges by %g", i, d)
-		}
+		checkDetections(t, fmt.Sprintf("64x64 request %d", i), results[i].res.Detections, wantBig)
 	}
-	if results[2].err == nil {
-		t.Error("malformed request should fail")
+	if !errors.Is(results[2].err, ErrBadImage) {
+		t.Errorf("undecodable request: err = %v, want ErrBadImage", results[2].err)
 	}
 }
 
@@ -211,29 +236,31 @@ func TestServerMixedShapesPartition(t *testing.T) {
 func TestServerCloseSemantics(t *testing.T) {
 	p := tinyProgram(t)
 	s := NewServer(p, Config{})
-	in := testImage(9)
-	if _, err := s.Infer(in); err != nil {
+	pipe := detect.Config{Spec: tinySpec()}
+	body := testPPM(t, 9, 32, 32)
+	if _, err := s.Detect(body, pipe, 32, 32); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.Infer(in); err != ErrClosed {
-		t.Fatalf("Infer after Close = %v, want ErrClosed", err)
+	if _, err := s.Detect(body, pipe, 32, 32); err != ErrClosed {
+		t.Fatalf("Detect after Close = %v, want ErrClosed", err)
 	}
-	if _, err := s.TryInfer(in); err != ErrClosed {
-		t.Fatalf("TryInfer after Close = %v, want ErrClosed", err)
+	if _, err := s.DetectFrame(body, pipe, 32, 32, FrameOptions{}); err != ErrClosed {
+		t.Fatalf("non-blocking DetectFrame after Close = %v, want ErrClosed", err)
 	}
 }
 
-// TestTryInferShedsLoad fills the queue of a server whose workers never
-// started (internal construction) and checks TryInfer rejects instead
-// of blocking.
-func TestTryInferShedsLoad(t *testing.T) {
+// TestDetectFrameShedsLoad fills the queue of a server whose workers
+// never started (internal construction) and checks a non-blocking
+// DetectFrame rejects instead of blocking.
+func TestDetectFrameShedsLoad(t *testing.T) {
 	p := tinyProgram(t)
 	s := &Server{prog: p, cfg: Config{QueueCap: 1}.withDefaults(), queue: make(chan *request, 1)}
 	s.queue <- &request{} // saturate
-	if _, err := s.TryInfer(testImage(11)); err != ErrQueueFull {
-		t.Fatalf("TryInfer on a full queue = %v, want ErrQueueFull", err)
+	pipe := detect.Config{Spec: tinySpec()}
+	if _, err := s.DetectFrame(testPPM(t, 11, 32, 32), pipe, 32, 32, FrameOptions{}); err != ErrQueueFull {
+		t.Fatalf("DetectFrame on a full queue = %v, want ErrQueueFull", err)
 	}
 	if st := s.Stats(); st.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", st.Rejected)
@@ -294,12 +321,15 @@ func TestRegistrySingleBuild(t *testing.T) {
 	}
 }
 
-// TestHTTPHandler exercises the wire protocol end to end.
+// TestHTTPHandler exercises the wire protocol end to end: /healthz,
+// /detect and the /stats counters it advances.
 func TestHTTPHandler(t *testing.T) {
 	p := tinyProgram(t)
 	s := NewServer(p, Config{})
 	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s, HandlerConfig{InputC: 3, InputH: 32, InputW: 32}))
+	ts := httptest.NewServer(NewHandler(s, HandlerConfig{
+		InputH: 32, InputW: 32, Detect: detect.Config{Spec: tinySpec()},
+	}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -308,56 +338,19 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Empty body = zero image.
-	resp, err = http.Post(ts.URL+"/infer", "application/octet-stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Shape     []int   `json:"shape"`
-		L2        float64 `json:"l2"`
-		LatencyMS float64 `json:"latency_ms"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(got.Shape) != 4 || got.Shape[0] != 1 {
-		t.Fatalf("infer shape = %v", got.Shape)
-	}
-
-	// Real image bytes must match a direct forward.
-	in := testImage(21)
-	var buf bytes.Buffer
-	for _, v := range in.Data {
-		var word [4]byte
-		binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
-		buf.Write(word[:])
-	}
-	resp, err = http.Post(ts.URL+"/infer", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	want, err := p.Output(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.L2 - want.L2(); d > 1e-4 || d < -1e-4 {
-		t.Errorf("served L2 %.6f vs direct %.6f", got.L2, want.L2())
-	}
-
-	// Wrong-sized body is a 400.
-	resp, err = http.Post(ts.URL+"/infer", "application/octet-stream", bytes.NewReader([]byte{1, 2, 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("truncated image: status %d, want 400", resp.StatusCode)
+	for seed := uint64(21); seed < 23; seed++ {
+		resp, err = http.Post(ts.URL+"/detect", "image/x-portable-pixmap", bytes.NewReader(testPPM(t, seed, 32, 32)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got DetectResponse
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || got.Image.Width != 32 || got.Image.Height != 32 {
+			t.Fatalf("detect: status %d image %+v, want 200 and 32x32", resp.StatusCode, got.Image)
+		}
 	}
 
 	resp, err = http.Get(ts.URL + "/stats")
@@ -369,7 +362,7 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats["requests"].(float64) < 2 {
-		t.Errorf("stats requests = %v, want >= 2", stats["requests"])
+	if stats["requests"].(float64) < 2 || stats["detects"].(float64) < 2 {
+		t.Errorf("stats requests = %v detects = %v, want >= 2", stats["requests"], stats["detects"])
 	}
 }

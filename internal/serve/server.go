@@ -25,8 +25,9 @@ type Config struct {
 	// Workers is how many batch executors run concurrently (default 2).
 	// Each executes full forward passes on the shared Program.
 	Workers int
-	// QueueCap bounds the pending-request queue (default 64). Infer
-	// blocks when the queue is full; TryInfer sheds load instead.
+	// QueueCap bounds the pending-request queue (default 64). Detect
+	// blocks when the queue is full; a non-blocking DetectFrame sheds
+	// load instead.
 	QueueCap int
 
 	// Watchdog arms the stuck-batch watchdog: a batch still executing
@@ -67,17 +68,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server turns one shared Program into a concurrent inference service:
-// requests enter a bounded queue, workers coalesce them into batches of
-// up to MaxBatch images (waiting at most MaxDelay for stragglers), run
-// one batched forward per batch, and fan the outputs back out to the
-// callers. Detection requests (Detect/DetectFrame) carry encoded image
-// bytes through the same queue: the batch executor decodes and
-// letterboxes them, co-batches the forwards with Infer traffic, and
-// runs the pooled decode+NMS postprocess before replying — so
-// detection-heavy traffic amortises its whole pipeline on the
-// executors instead of burning a handler goroutine per request. All
-// methods are safe for concurrent use.
+// Server turns one shared Program into a concurrent detection service:
+// requests (Detect/DetectFrame) carry encoded image bytes into a bounded
+// queue, workers coalesce them into batches of up to MaxBatch images
+// (waiting at most MaxDelay for stragglers), decode and letterbox each
+// image, run one batched forward per canvas size, and run the pooled
+// decode+NMS postprocess before replying — so detection traffic
+// amortises its whole pipeline on the executors instead of burning a
+// handler goroutine per request. All methods are safe for concurrent
+// use.
 type Server struct {
 	prog  *engine.Program
 	cfg   Config
@@ -85,11 +84,9 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	// headArena recycles the per-image head copies HeadsBatchArena
-	// splits off a batched forward: the executor returns a detect
-	// request's heads right after postprocess, so the next batch reuses
-	// the buffers instead of allocating fresh ones. A head handed to an
-	// Infer caller is never recycled — the arena only sees tensors the
-	// server provably owns.
+	// splits off a batched forward: the executor returns a request's
+	// heads right after postprocess, so the next batch reuses the
+	// buffers instead of allocating fresh ones.
 	headArena *tensor.Arena
 	// scratchPool recycles ingestScratch (decoded image + letterbox
 	// canvas tensors) across detect requests, making the executor's
@@ -122,9 +119,10 @@ type ingestScratch struct {
 }
 
 var (
-	// ErrClosed is returned by Infer/TryInfer after Close.
+	// ErrClosed is returned by Detect/DetectFrame after Close.
 	ErrClosed = errors.New("serve: server closed")
-	// ErrQueueFull is returned by TryInfer when the queue is saturated.
+	// ErrQueueFull is returned by a non-blocking DetectFrame when the
+	// queue is saturated.
 	ErrQueueFull = errors.New("serve: request queue full")
 	// ErrBadImage wraps image-decode failures of Detect requests: the
 	// request was accepted but its body is not a decodable image. The
@@ -157,30 +155,15 @@ var (
 	ErrStuckBatch = errors.New("serve: batch exceeded its execution allowance")
 )
 
-// reqKind selects what a queued request wants back.
-type reqKind uint8
-
-const (
-	// kindInfer wants the model's final output tensor.
-	kindInfer reqKind = iota
-	// kindDetect carries encoded image bytes and wants decoded boxes:
-	// the executor preprocesses, forwards and postprocesses.
-	kindDetect
-)
-
 type request struct {
-	kind reqKind
-	// in is the network input: caller-provided for infer requests,
-	// filled by the executor's preprocess for detect.
-	in *tensor.Tensor
-	// img/pipe/resH/resW describe a detect request: encoded image
-	// bytes, the resolved postprocess config, and the letterbox canvas.
+	// img/pipe/resH/resW describe the request: encoded image bytes, the
+	// resolved postprocess config, and the letterbox canvas size.
 	img        []byte
 	pipe       detect.Config
 	resH, resW int
 	// meta, ingest, pp and sc are filled by the executor's preprocess
-	// stage; sc is returned to the server's scratch pool after the
-	// response is sent.
+	// stage; sc (whose canvas is the network input) is returned to the
+	// server's scratch pool after the response is sent.
 	meta   tensor.LetterboxMeta
 	ingest time.Duration
 	pp     time.Duration
@@ -207,7 +190,6 @@ type request struct {
 }
 
 type response struct {
-	out *tensor.Tensor
 	det *detect.Result
 	err error
 }
@@ -246,27 +228,6 @@ func (s *Server) reply(req *request, r response) bool {
 	}
 	req.resp <- r
 	return true
-}
-
-// Infer runs one image ([C, H, W] or [1, C, H, W]) through the service
-// and blocks until its output is ready (or the server closes). When the
-// queue is full, Infer waits for a slot — use TryInfer to shed load.
-func (s *Server) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
-	r, err := s.submit(&request{kind: kindInfer, in: in}, true)
-	if err != nil {
-		return nil, err
-	}
-	return r.out, nil
-}
-
-// TryInfer is Infer, except it returns ErrQueueFull instead of blocking
-// when the queue is saturated.
-func (s *Server) TryInfer(in *tensor.Tensor) (*tensor.Tensor, error) {
-	r, err := s.submit(&request{kind: kindInfer, in: in}, false)
-	if err != nil {
-		return nil, err
-	}
-	return r.out, nil
 }
 
 // Detect runs the full image -> boxes pipeline on the batch executors:
@@ -309,8 +270,7 @@ func (s *Server) DetectFrame(img []byte, pipe detect.Config, resH, resW int, opt
 		return nil, fmt.Errorf("serve: detect resolution %dx%d must be positive multiples of the head stride %d", resH, resW, st)
 	}
 	r, err := s.submit(&request{
-		kind: kindDetect, img: img, pipe: pipe, resH: resH, resW: resW,
-		deadline: opt.Deadline,
+		img: img, pipe: pipe, resH: resH, resW: resW, deadline: opt.Deadline,
 	}, opt.Block)
 	if err != nil {
 		return nil, err
@@ -468,7 +428,7 @@ func (s *Server) gather(ws *workerScratch, first *request) []*request {
 	return batch
 }
 
-// preprocess decodes and letterboxes a detect request's image bytes on
+// preprocess decodes and letterboxes a request's image bytes on
 // the executor, entirely inside pooled scratch: the decoded image and
 // the letterbox canvas both come from (and return to) the server's
 // scratch pool, so a steady stream of same-sized images runs this stage
@@ -497,9 +457,6 @@ func (s *Server) preprocess(req *request) bool {
 	canvas, meta := tensor.LetterboxImageInto(sc.canvas, img, req.resH, req.resW, tensor.LetterboxFill)
 	sc.canvas = canvas
 	req.sc = sc
-	// The batch stacker accepts [C, H, W] directly; skipping the
-	// [1, C, H, W] reshape avoids allocating a view header per request.
-	req.in = canvas
 	req.meta = meta
 	req.pp = time.Since(t1)
 	s.stats.recordIngest(req.ingest)
@@ -507,7 +464,7 @@ func (s *Server) preprocess(req *request) bool {
 	return true
 }
 
-// release returns a detect request's pooled preprocess scratch after
+// release returns a request's pooled preprocess scratch after
 // its response has been sent. The response never aliases the scratch
 // (detections are freshly appended, heads were already recycled), so
 // the next request may overwrite it immediately.
@@ -529,13 +486,13 @@ func (s *Server) execute(ws *workerScratch, sl *wdSlot, batch []*request) {
 		defer sl.end()
 	}
 	defer s.recoverBatch(ws)
-	// Detect requests arrive as encoded bytes: preprocess them here so
-	// the forward below can co-batch them with raw-tensor traffic.
-	// Reusing batch's backing array keeps the executor allocation-lean.
+	// Requests arrive as encoded bytes: preprocess them here so the
+	// forward below can stack their canvases. Reusing batch's backing
+	// array keeps the executor allocation-lean.
 	ready := batch[:0]
 	for _, req := range batch {
 		ws.cur = req
-		ok := req.kind != kindDetect || s.preprocess(req)
+		ok := s.preprocess(req)
 		ws.cur = nil
 		if ok {
 			ready = append(ready, req)
@@ -544,13 +501,12 @@ func (s *Server) execute(ws *workerScratch, sl *wdSlot, batch []*request) {
 	if len(ready) == 0 {
 		return
 	}
-	// Clients may legitimately submit different image sizes (Programs
-	// accept any resolution the model supports), and images can only be
-	// stacked with identical shapes — so partition the batch by shape
-	// and forward each group separately. One malformed request then
-	// fails alone instead of poisoning whoever it was co-batched with.
-	// The common case (every request at the model's nominal resolution)
-	// is detected up front and runs group-partition-free.
+	// Clients may legitimately ask for different canvas sizes (Programs
+	// accept any resolution the model supports), and canvases can only
+	// be stacked with identical shapes — so partition the batch by
+	// canvas size and forward each group separately. The common case
+	// (every request at the model's nominal resolution) is detected up
+	// front and runs group-partition-free.
 	if uniformShape(ready) {
 		s.executeGroup(ws, ready)
 		return
@@ -594,16 +550,13 @@ func (s *Server) recoverBatch(ws *workerScratch) {
 }
 
 // requeueOrFail gives an innocent co-batched request a second chance:
-// its preprocess state is scrapped (a re-executed detect request
-// decodes afresh from its original bytes) and it re-enters the queue
+// its preprocess state is scrapped (a re-executed request decodes
+// afresh from its original bytes) and it re-enters the queue
 // without blocking. When the queue is full or the server is closing,
 // the request is answered ErrCoBatched instead — explicitly, so the
 // caller never hangs on a request the executor abandoned.
 func (s *Server) requeueOrFail(req *request) {
 	s.release(req)
-	if req.kind == kindDetect {
-		req.in = nil // pointed at the released canvas; preprocess refills it
-	}
 	req.requeued = true
 	s.closeMu.RLock()
 	if !s.closed {
@@ -621,13 +574,14 @@ func (s *Server) requeueOrFail(req *request) {
 	}
 }
 
-// uniformShape reports whether every request's input stacks with the
+// uniformShape reports whether every request's canvas stacks with the
 // first one's — the hot path that skips groupByShape's allocations.
+// Every canvas is [3, resH, resW], so equal sizes are equal shapes.
 //
 //rtoss:noalloc
 func uniformShape(batch []*request) bool {
 	for _, req := range batch[1:] {
-		if !sameImageShape(batch[0].in, req.in) {
+		if req.resH != batch[0].resH || req.resW != batch[0].resW {
 			return false
 		}
 	}
@@ -639,20 +593,12 @@ func uniformShape(batch []*request) bool {
 // reused scratch.
 func (s *Server) executeGroup(ws *workerScratch, group []*request) {
 	ins := ws.ins[:0]
-	anyHeads := false
 	for _, req := range group {
-		ins = append(ins, req.in)
-		anyHeads = anyHeads || req.kind == kindDetect
+		// The batch stacker accepts [C, H, W] directly; skipping the
+		// [1, C, H, W] reshape avoids allocating a view header per request.
+		ins = append(ins, req.sc.canvas)
 	}
 	ws.ins = ins
-	// A group containing any detection request runs the heads path
-	// for the whole group: the final output is the first head (the
-	// Detect sink aliases it), so plain Infer co-batches for free.
-	var (
-		outs  []*tensor.Tensor
-		heads [][]*tensor.Tensor
-		err   error
-	)
 	// An injected stall holds the whole batch mid-execution — the
 	// scenario the stuck-batch watchdog exists for. The sleep happens
 	// here, lock-free, never inside the injector.
@@ -660,15 +606,10 @@ func (s *Server) executeGroup(ws *workerScratch, group []*request) {
 		time.Sleep(d)
 	}
 	fstart := time.Now()
-	if anyHeads {
-		// The server's arena feeds the per-image head copies; the
-		// detect branch below returns each request's heads as soon
-		// as postprocess is done with them. A head that escapes to an
-		// Infer caller is simply never recycled.
-		heads, err = s.prog.HeadsBatchArena(ins, s.headArena)
-	} else {
-		outs, err = s.prog.ForwardBatch(ins)
-	}
+	// The server's arena feeds the per-image head copies; the loop
+	// below returns each request's heads as soon as postprocess is done
+	// with them.
+	heads, err := s.prog.HeadsBatchArena(ins, s.headArena)
 	fwd := time.Since(fstart)
 	s.stats.recordBatch(len(group))
 	for i, req := range group {
@@ -677,40 +618,34 @@ func (s *Server) executeGroup(ws *workerScratch, group []*request) {
 			panic(fmt.Sprintf("faultinject: %s while serving request %d", faultinject.PointExecPanic, req.seq))
 		}
 		r := response{err: err}
-		switch {
-		case err != nil:
-			atomic.AddUint64(&s.stats.errors, 1)
-		case req.kind == kindDetect:
-			// The postprocess scratch is pooled inside detect, so
-			// each executor reuses a warm per-worker buffer set.
+		if err == nil {
+			// The postprocess scratch is pooled inside detect, so each
+			// executor reuses a warm per-worker buffer set.
 			dets, pst, derr := detect.PostprocessStats(nil, heads[i], req.meta, req.pipe)
-			// Postprocess copied everything it keeps out of the
-			// head tensors, so they go back to the arena either
-			// way — the next batch reuses the buffers.
+			// Postprocess copied everything it keeps out of the head
+			// tensors, so they go back to the arena either way — the
+			// next batch reuses the buffers.
 			for _, h := range heads[i] {
 				s.headArena.Put(h)
 			}
-			if derr != nil {
-				r.err = derr
-				atomic.AddUint64(&s.stats.errors, 1)
-				break
+			r.err = derr
+			if derr == nil {
+				s.stats.recordDetect(pst)
+				r.det = &detect.Result{
+					Detections: dets,
+					SrcW:       req.meta.SrcW,
+					SrcH:       req.meta.SrcH,
+					Timing: detect.Timing{
+						Ingest:     req.ingest,
+						Preprocess: req.pp,
+						Forward:    fwd,
+						Decode:     pst.Decode + pst.NMS,
+					},
+				}
 			}
-			s.stats.recordDetect(pst)
-			r.det = &detect.Result{
-				Detections: dets,
-				SrcW:       req.meta.SrcW,
-				SrcH:       req.meta.SrcH,
-				Timing: detect.Timing{
-					Ingest:     req.ingest,
-					Preprocess: req.pp,
-					Forward:    fwd,
-					Decode:     pst.Decode + pst.NMS,
-				},
-			}
-		case anyHeads:
-			r.out = heads[i][0]
-		default:
-			r.out = outs[i]
+		}
+		if r.err != nil {
+			atomic.AddUint64(&s.stats.errors, 1)
 		}
 		s.stats.recordLatency(time.Since(req.enq))
 		if !req.deadline.IsZero() && r.err == nil {
@@ -730,15 +665,15 @@ func (s *Server) executeGroup(ws *workerScratch, group []*request) {
 	}
 }
 
-// groupByShape splits a batch into stackable groups of identical image
-// shape, preserving arrival order within each group. The common case
-// (every client sends the model's nominal resolution) stays one group.
+// groupByShape splits a batch into stackable groups of identical canvas
+// size, preserving arrival order within each group. The common case
+// (every client asks for the model's nominal resolution) stays one group.
 func groupByShape(batch []*request) [][]*request {
 	groups := make([][]*request, 0, 1)
 outer:
 	for _, req := range batch {
 		for i, g := range groups {
-			if sameImageShape(g[0].in, req.in) {
+			if g[0].resH == req.resH && g[0].resW == req.resW {
 				groups[i] = append(g, req)
 				continue outer
 			}
@@ -746,32 +681,6 @@ outer:
 		groups = append(groups, []*request{req})
 	}
 	return groups
-}
-
-// sameImageShape reports whether two single-image tensors stack: equal
-// shapes, treating [C, H, W] and [1, C, H, W] as equivalent. Malformed
-// inputs (wrong rank) compare false against everything, so they fail
-// in their own group of one.
-//
-//rtoss:noalloc
-func sameImageShape(a, b *tensor.Tensor) bool {
-	ac, ah, aw, aok := imageDims(a)
-	bc, bh, bw, bok := imageDims(b)
-	return aok && bok && ac == bc && ah == bh && aw == bw
-}
-
-// imageDims extracts C, H, W from a single-image tensor without
-// copying its shape slice (this runs per request pair in groupByShape).
-//
-//rtoss:noalloc
-func imageDims(t *tensor.Tensor) (c, h, w int, ok bool) {
-	switch {
-	case t.Rank() == 3:
-		return t.Dim(0), t.Dim(1), t.Dim(2), true
-	case t.Rank() == 4 && t.Dim(0) == 1:
-		return t.Dim(1), t.Dim(2), t.Dim(3), true
-	}
-	return 0, 0, 0, false
 }
 
 // Program returns the immutable Program the server executes — the
@@ -874,7 +783,7 @@ func atomicMax(p *int64, v int64) {
 // for the batched detection path — the per-stage postprocess counters.
 type Stats struct {
 	Requests               uint64 // accepted requests
-	Rejected               uint64 // TryInfer/non-blocking DetectFrame load-shed rejections
+	Rejected               uint64 // non-blocking DetectFrame load-shed rejections
 	Errors                 uint64 // requests that returned an error
 	Completed              uint64 // images that went through a forward pass
 	Batches                uint64 // batched forward passes executed

@@ -250,8 +250,8 @@ func TestStreamHTTP(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("/stream", hub.Handler())
 	mux.Handle("/", serve.NewHandler(srv, serve.HandlerConfig{
-		InputC: 3, InputH: 32, InputW: 32,
-		Detect:     &detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05},
+		InputH: 32, InputW: 32,
+		Detect:     detect.Config{Spec: tinySpec(), ScoreThreshold: 0.05},
 		ExtraStats: hub.StatsMap,
 	}))
 	ts := httptest.NewServer(mux)

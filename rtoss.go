@@ -51,11 +51,11 @@
 //
 // The engine is split into an immutable Program (CompileProgram) and
 // cheap pooled per-request run state: one Program safely serves any
-// number of concurrent goroutines, and Program.ForwardBatch runs a
-// whole batch of images through one forward pass. The serving subsystem
+// number of concurrent goroutines, and Program.HeadsBatch runs a whole
+// batch of images through one forward pass. The serving subsystem
 // builds on that split: NewServeRegistry caches one Program per
 // (architecture, variant, mode) key, and NewServer coalesces concurrent
-// requests into micro-batches with bounded queueing and
+// detection requests into micro-batches with bounded queueing and
 // latency/throughput stats (see `rtoss serve`).
 //
 // # Detection pipeline
@@ -203,7 +203,8 @@ func Estimate(m *Model, p Platform, s Structure) (*CostReport, error) {
 }
 
 // Assess scores a pruned model's accuracy with the information-
-// retention surrogate (see DESIGN.md for the substitution rationale).
+// retention surrogate (see docs/ARCHITECTURE.md §Substitutions and
+// ablations for the substitution rationale).
 func Assess(orig, pruned *Model, res *Result) Quality {
 	return metrics.AssessPruned(orig, pruned, res)
 }
@@ -211,7 +212,7 @@ func Assess(orig, pruned *Model, res *Result) Quality {
 // Program is a model compiled once for execution: per-layer
 // dense/sparse kernel dispatch, wavefront scheduling levels and the
 // activation buffer plan. Immutable and safe for concurrent use; run
-// state is pooled internally. Program.ForwardBatch runs many images in
+// state is pooled internally. Program.HeadsBatch runs many images in
 // one pass.
 type Program = engine.Program
 

@@ -1,6 +1,7 @@
 package rtoss
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -174,35 +175,35 @@ func TestPublicServeAPI(t *testing.T) {
 	if prog != again {
 		t.Fatal("registry rebuilt a cached Program")
 	}
-	input := NewTensor(1, 3, 64, 64)
-	for i := range input.Data {
-		input.Data[i] = float32(i%13)/13 - 0.5
-	}
-	want, err := prog.Output(input)
+	det, err := NewDetector(prog, 64, DetectConfig{ScoreThreshold: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := prog.ForwardBatch([]*Tensor{input, input})
-	if err != nil {
+	var img bytes.Buffer
+	if err := EncodePPM(&img, KITTISampleImage(124, 40)); err != nil {
 		t.Fatal(err)
 	}
-	if len(batched) != 2 || !batched[0].SameShape(want) {
-		t.Fatalf("ForwardBatch returned %d outputs of shape %v, want 2 of %v",
-			len(batched), batched[0].Shape(), want.Shape())
+	want, err := det.DetectBytes(img.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
 	srv := NewServer(prog, ServeConfig{MaxBatch: 2})
 	defer srv.Close()
-	got, err := srv.Infer(input)
+	got, err := srv.Detect(img.Bytes(), det.Config(), 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got.Data {
-		if d := got.Data[i] - want.Data[i]; d < -1e-5 || d > 1e-5 {
-			t.Fatalf("served output diverges from direct forward at %d", i)
+	if got.SrcW != want.SrcW || got.SrcH != want.SrcH || len(got.Detections) != len(want.Detections) {
+		t.Fatalf("served %dx%d with %d detections, Detector %dx%d with %d",
+			got.SrcW, got.SrcH, len(got.Detections), want.SrcW, want.SrcH, len(want.Detections))
+	}
+	for i, w := range want.Detections {
+		if got.Detections[i] != w {
+			t.Errorf("det %d: served %+v, Detector %+v", i, got.Detections[i], w)
 		}
 	}
-	if st := srv.Stats(); st.Requests != 1 || st.Completed != 1 {
-		t.Fatalf("stats = %+v, want 1 request completed", st)
+	if st := srv.Stats(); st.Requests != 1 || st.Completed != 1 || st.Detects != 1 {
+		t.Fatalf("stats = %+v, want 1 request completed and detected", st)
 	}
 }
 
