@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -130,6 +131,15 @@ func PostprocessStats(dst []Detection, heads []*tensor.Tensor, meta tensor.Lette
 	t1 := time.Now()
 	st.Decode = t1.Sub(t0)
 	s.nmsBucketed(cfg.Spec.Classes, cfg.IoUThreshold)
+	// Grow dst once, by the kept-candidate count capped at
+	// MaxDetections, instead of through append doubling.
+	kept := 0
+	for _, k := range s.keep {
+		if k {
+			kept++
+		}
+	}
+	dst = slices.Grow(dst, min(kept, cfg.MaxDetections))
 	base := len(dst)
 	srcW, srcH := float64(meta.SrcW), float64(meta.SrcH)
 	emitted := 0

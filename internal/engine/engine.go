@@ -16,15 +16,22 @@
 //     and the consumer counts of the activation buffer plan. One
 //     Program safely serves any number of concurrent goroutines.
 //   - Run state is cheap and per-request: each Output/HeadsBatch call
-//     borrows a runState (activation arena + buffer refcounts) from the
-//     Program's sync.Pool, so steady-state serving re-uses activation
-//     buffers across requests instead of re-allocating them.
+//     borrows a runState (output table, activation arena, buffer
+//     refcounts and the level fan-out state) from the Program's
+//     sync.Pool, so steady-state serving re-uses activation buffers
+//     and scheduling state across requests instead of re-allocating
+//     them.
 //
 // Within a run, layers are wavefront-scheduled: the DAG's topological
-// levels run one after another, the layers inside a level concurrently
-// on a bounded worker pool; batched inputs additionally split
-// convolutions across the batch dimension. Output-style runs recycle a
-// layer's output buffer as soon as its last consumer has executed.
+// levels run one after another. A level holding at least one
+// convolution fans out: the calling goroutine and up to Workers-1
+// helper goroutines drain its layers through an atomic cursor, so at
+// most Workers layers run at once and the fan-out allocates nothing
+// per layer. Levels without a convolution (activations, concats,
+// pools, upsamples) are cheap memory passes and run serially on the
+// caller, as do single-layer levels, whose batched convolutions
+// instead split across the batch dimension. Output-style runs recycle
+// a layer's output buffer as soon as its last consumer has executed.
 //
 // The analytic latency/energy estimation lives in internal/hw; this
 // package is the numeric twin.

@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rtoss/internal/nn"
 	"rtoss/internal/sparse"
@@ -25,8 +26,8 @@ type Program struct {
 	compiled  []*sparse.CompiledConv
 	headIDs   []int // inputs of the model's Detect sink (nil if none)
 
-	// runs pools per-request state (activation arena + refcounts) so
-	// steady-state serving reuses buffers across requests.
+	// runs pools per-request state (activation arena, refcounts and
+	// level fan-out) so steady-state serving reuses it across requests.
 	runs sync.Pool
 }
 
@@ -149,21 +150,48 @@ func (p *Program) SparseLayers() (patternLayers, csrLayers int) {
 	return patternLayers, csrLayers
 }
 
-// runState is the poolable per-request execution state for runs that
-// recycle activation buffers: the arena the buffers come from plus the
-// refcount/ownership planes. The arena outlives individual runs (that
-// is the point of pooling — buffers warm up once), while the planes are
-// reset on acquire.
+// runState is the per-run execution state: the input, the layer output
+// table and the level fan-out, plus — for runs that recycle activation
+// buffers — the arena the buffers come from and the refcount/ownership
+// planes. Recycling runs borrow it from the Program's pool: the arena
+// outlives individual runs (that is the point of pooling — buffers warm
+// up once), while the planes are reset on acquire. Retain-all runs
+// (Forward) use a fresh state with a nil arena.
 type runState struct {
+	p     *Program
+	input *tensor.Tensor
+	outs  []*tensor.Tensor
+	// splitBatch enables splitting a batched convolution across the
+	// worker pool. It is set only while executing a level serially,
+	// where the level scheduler leaves the pool idle — on conv levels
+	// that fan out the layers themselves fill the workers, and nesting
+	// a second pool per conv would oversubscribe the CPUs.
+	splitBatch bool
+
+	// arena is nil when retaining all outputs. refs counts the
+	// remaining consumers of each layer's output, owned marks outputs
+	// whose buffers came from the arena, and alias maps pass-through
+	// outputs (Detect) to the layer that owns the buffer.
 	arena *tensor.Arena
 	refs  []int32
 	owned []bool
 	alias []int32
+
+	// Level fan-out (see fanOut): the level being drained, its next
+	// unclaimed node, the helpers still draining it, and the first
+	// error any node reported.
+	lvl      []int
+	next     atomic.Int32
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	firstErr error
 }
 
 func (p *Program) newRunState() *runState {
 	n := len(p.model.Layers)
 	return &runState{
+		p:     p,
+		outs:  make([]*tensor.Tensor, n),
 		arena: tensor.NewArena(),
 		refs:  make([]int32, n),
 		owned: make([]bool, n),
@@ -189,5 +217,10 @@ func (p *Program) acquireRun(keep []int) *runState {
 	return rs
 }
 
-// releaseRun returns per-request state (and its warm arena) to the pool.
-func (p *Program) releaseRun(rs *runState) { p.runs.Put(rs) }
+// releaseRun returns per-request state (and its warm arena) to the
+// pool, dropping its references to the caller's input and outputs.
+func (p *Program) releaseRun(rs *runState) {
+	rs.input, rs.lvl, rs.firstErr = nil, nil, nil
+	clear(rs.outs)
+	p.runs.Put(rs)
+}

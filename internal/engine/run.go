@@ -15,7 +15,9 @@ import (
 // non-empty. Because every output is retained, Forward cannot recycle
 // activation buffers; use Output when only the final tensor matters.
 func (p *Program) Forward(input *tensor.Tensor) ([]*tensor.Tensor, error) {
-	return p.run(input, true, nil)
+	var all []*tensor.Tensor
+	err := p.run(input, true, nil, func(outs []*tensor.Tensor, _ *tensor.Arena) { all = outs })
+	return all, err
 }
 
 // Output runs the model and returns the final layer's tensor.
@@ -23,11 +25,9 @@ func (p *Program) Forward(input *tensor.Tensor) ([]*tensor.Tensor, error) {
 // as soon as their last consumer has executed, so repeated calls reuse
 // warm buffers instead of re-allocating them.
 func (p *Program) Output(input *tensor.Tensor) (*tensor.Tensor, error) {
-	outs, err := p.run(input, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	return outs[len(outs)-1], nil
+	var out *tensor.Tensor
+	err := p.run(input, false, nil, func(outs []*tensor.Tensor, _ *tensor.Arena) { out = outs[len(outs)-1] })
+	return out, err
 }
 
 // Heads runs the model and returns the detection-head tensors feeding
@@ -40,13 +40,14 @@ func (p *Program) Heads(input *tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(p.headIDs) == 0 {
 		return nil, fmt.Errorf("engine: model %q has no detection heads", p.model.Name)
 	}
-	outs, err := p.run(input, false, p.headIDs)
+	heads := make([]*tensor.Tensor, len(p.headIDs))
+	err := p.run(input, false, p.headIDs, func(outs []*tensor.Tensor, _ *tensor.Arena) {
+		for i, id := range p.headIDs {
+			heads[i] = outs[id]
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	heads := make([]*tensor.Tensor, len(p.headIDs))
-	for i, id := range p.headIDs {
-		heads[i] = outs[id]
 	}
 	return heads, nil
 }
@@ -70,7 +71,8 @@ func (p *Program) HeadsBatch(inputs []*tensor.Tensor) (heads [][]*tensor.Tensor,
 // A serving executor passes a long-lived arena and returns each head
 // tensor via dst.Put after postprocessing, so steady-state detect
 // batches recycle warm head buffers instead of allocating
-// heads×batch tensors per forward.
+// heads×batch tensors per forward. The stacked input batch is drawn
+// from dst too and returned to it before HeadsBatchArena returns.
 func (p *Program) HeadsBatchArena(inputs []*tensor.Tensor, dst *tensor.Arena) (heads [][]*tensor.Tensor, err error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("engine: HeadsBatch of no inputs")
@@ -83,12 +85,17 @@ func (p *Program) HeadsBatchArena(inputs []*tensor.Tensor, dst *tensor.Arena) (h
 			heads, err = nil, fmt.Errorf("engine: HeadsBatch: %v", r)
 		}
 	}()
-	batch := tensor.Stack(inputs)
+	batch := tensor.StackArena(inputs, dst)
+	if dst != nil {
+		defer dst.Put(batch)
+	}
+	nh := len(p.headIDs)
+	flat := make([]*tensor.Tensor, len(inputs)*nh)
 	heads = make([][]*tensor.Tensor, len(inputs))
 	for i := range heads {
-		heads[i] = make([]*tensor.Tensor, len(p.headIDs))
+		heads[i] = flat[i*nh : (i+1)*nh : (i+1)*nh]
 	}
-	_, err = p.runFinish(batch, false, p.headIDs, func(outs []*tensor.Tensor, arena *tensor.Arena) {
+	err = p.run(batch, false, p.headIDs, func(outs []*tensor.Tensor, arena *tensor.Arena) {
 		for h, id := range p.headIDs {
 			for i, img := range tensor.SplitBatchArena(outs[id], dst) {
 				heads[i][h] = img
@@ -102,88 +109,99 @@ func (p *Program) HeadsBatchArena(inputs []*tensor.Tensor, dst *tensor.Arena) (h
 	return heads, nil
 }
 
-// runCtx is the per-run execution context: the input, the output table,
-// and (for buffer-recycling runs) the pooled runState.
-type runCtx struct {
-	p     *Program
-	input *tensor.Tensor
-	outs  []*tensor.Tensor
-	// splitBatch enables splitting a batched convolution across the
-	// worker pool. It is set only while executing a single-layer
-	// wavefront level, where the level scheduler leaves the pool idle —
-	// on wider levels the layers themselves fill the workers, and
-	// nesting a second pool per conv would oversubscribe the CPUs.
-	splitBatch bool
-	// rs is nil when retaining all outputs; otherwise it holds the
-	// arena the buffers come from, refs counts the remaining consumers
-	// of each layer's output, owned marks outputs whose buffers came
-	// from the arena, and alias maps pass-through outputs (Detect) to
-	// the layer that owns the buffer.
-	rs *runState
-}
-
-func (p *Program) run(input *tensor.Tensor, retainAll bool, keep []int) ([]*tensor.Tensor, error) {
-	return p.runFinish(input, retainAll, keep, nil)
-}
-
-// runFinish is run with a completion hook: on success, finish (if
-// non-nil, and the run recycles buffers) is invoked while the per-run
-// state is still held, so batch callers can copy kept outputs and Put
-// their buffers back into the arena before it returns to the pool.
-func (p *Program) runFinish(input *tensor.Tensor, retainAll bool, keep []int, finish func(outs []*tensor.Tensor, arena *tensor.Arena)) ([]*tensor.Tensor, error) {
+// run executes the model on input and, on success, calls finish with
+// the layer output table while the per-run state is still held, so
+// callers copy out what they keep before a recycling run's state (its
+// output table and arena) returns to the pool. finish's arena is nil
+// when retainAll is set: then every output is freshly allocated and
+// the table is the caller's.
+func (p *Program) run(input *tensor.Tensor, retainAll bool, keep []int, finish func(outs []*tensor.Tensor, arena *tensor.Arena)) error {
 	if input.Rank() != 4 {
-		return nil, fmt.Errorf("engine: input must be 4-D, got %v", input.Shape())
+		return fmt.Errorf("engine: input must be 4-D, got %v", input.Shape())
 	}
 	if input.Dim(1) != p.model.InputC {
-		return nil, fmt.Errorf("engine: input has %d channels, model wants %d", input.Dim(1), p.model.InputC)
+		return fmt.Errorf("engine: input has %d channels, model wants %d", input.Dim(1), p.model.InputC)
 	}
-	n := len(p.model.Layers)
-	rc := &runCtx{p: p, input: input, outs: make([]*tensor.Tensor, n)}
-	if !retainAll {
-		rc.rs = p.acquireRun(keep)
-		defer p.releaseRun(rc.rs)
+	var rs *runState
+	if retainAll {
+		rs = &runState{p: p, outs: make([]*tensor.Tensor, len(p.model.Layers))}
+	} else {
+		rs = p.acquireRun(keep)
+		defer p.releaseRun(rs)
 	}
+	rs.input = input
 	for _, lvl := range p.levels {
-		if p.workers <= 1 || len(lvl) == 1 {
-			rc.splitBatch = p.workers > 1
+		if p.workers <= 1 || len(lvl) == 1 || !p.hasConv(lvl) {
+			// A lone node may split a batched conv across the workers;
+			// a conv-free level is cheap copies and elementwise passes
+			// whose fan-out would cost more than it saves.
+			rs.splitBatch = p.workers > 1
 			for _, id := range lvl {
-				if err := rc.exec(id); err != nil {
-					return nil, err
+				if err := rs.exec(id); err != nil {
+					return err
 				}
 			}
 			continue
 		}
-		rc.splitBatch = false
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		sem := make(chan struct{}, p.workers)
-		for _, id := range lvl {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(id int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := rc.exec(id); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}(id)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+		rs.splitBatch = false
+		if err := rs.fanOut(lvl); err != nil {
+			return err
 		}
 	}
-	if finish != nil && rc.rs != nil {
-		finish(rc.outs, rc.rs.arena)
+	finish(rs.outs, rs.arena)
+	return nil
+}
+
+// hasConv reports whether any node of a level is a convolution.
+func (p *Program) hasConv(lvl []int) bool {
+	for _, id := range lvl {
+		if p.model.Layers[id].Kind == nn.Conv {
+			return true
+		}
 	}
-	return rc.outs, nil
+	return false
+}
+
+// fanOut executes one level's nodes concurrently: the calling goroutine
+// and min(workers, len(lvl))-1 helpers drain the level through an
+// atomic cursor, so at most workers nodes run at once. All fan-out
+// state lives in the run state, which keeps a level's scheduling free
+// of per-node goroutines, closures and channels. It returns the first
+// error any node reported.
+func (rs *runState) fanOut(lvl []int) error {
+	rs.lvl, rs.firstErr = lvl, nil
+	rs.next.Store(0)
+	helpers := min(rs.p.workers, len(lvl)) - 1
+	rs.wg.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go rs.help()
+	}
+	rs.drain()
+	rs.wg.Wait()
+	return rs.firstErr
+}
+
+// help is a fan-out helper goroutine's body.
+func (rs *runState) help() {
+	defer rs.wg.Done()
+	rs.drain()
+}
+
+// drain executes level nodes until the cursor passes the level's end.
+func (rs *runState) drain() {
+	for {
+		i := int(rs.next.Add(1)) - 1
+		if i >= len(rs.lvl) {
+			return
+		}
+		if err := rs.exec(rs.lvl[i]); err != nil {
+			rs.mu.Lock()
+			if rs.firstErr == nil {
+				rs.firstErr = err
+			}
+			rs.mu.Unlock()
+		}
+	}
 }
 
 // get allocates a layer output buffer, from the arena when recycling.
@@ -192,9 +210,9 @@ func (p *Program) runFinish(input *tensor.Tensor, retainAll bool, keep []int, fi
 // Heads keep-list exempting the outputs that survive the run.
 //
 //rtoss:arena-owner
-func (rc *runCtx) get(shape ...int) *tensor.Tensor {
-	if rc.rs != nil {
-		return rc.rs.arena.Get(shape...)
+func (rs *runState) get(shape ...int) *tensor.Tensor {
+	if rs.arena != nil {
+		return rs.arena.Get(shape...)
 	}
 	return tensor.New(shape...)
 }
@@ -202,47 +220,47 @@ func (rc *runCtx) get(shape ...int) *tensor.Tensor {
 // consume retires one reference to layer id's output, recycling its
 // buffer once the last consumer is done. Aliased outputs forward the
 // release to the owning layer.
-func (rc *runCtx) consume(id int) {
-	if atomic.AddInt32(&rc.rs.refs[id], -1) != 0 {
+func (rs *runState) consume(id int) {
+	if atomic.AddInt32(&rs.refs[id], -1) != 0 {
 		return
 	}
-	if a := rc.rs.alias[id]; a >= 0 {
-		rc.consume(int(a))
+	if a := rs.alias[id]; a >= 0 {
+		rs.consume(int(a))
 		return
 	}
-	if rc.rs.owned[id] {
-		rc.rs.arena.Put(rc.outs[id])
-		rc.outs[id] = nil
+	if rs.owned[id] {
+		rs.arena.Put(rs.outs[id])
+		rs.outs[id] = nil
 	}
 }
 
 // exec runs one layer. Kernel panics (shape mismatches, empty outputs)
 // are recovered into errors so a failing worker cannot crash the pool.
-func (rc *runCtx) exec(id int) (err error) {
-	l := rc.p.model.Layers[id]
+func (rs *runState) exec(id int) (err error) {
+	l := rs.p.model.Layers[id]
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: layer %q: %v", l.Name, r)
 		}
 	}()
-	in := func(i int) *tensor.Tensor { return rc.outs[l.Inputs[i]] }
+	in := func(i int) *tensor.Tensor { return rs.outs[l.Inputs[i]] }
 	var out *tensor.Tensor
 	owned := true
 	aliasOf := -1
 	switch l.Kind {
 	case nn.Input:
-		out, owned = rc.input, false
+		out, owned = rs.input, false
 	case nn.Conv:
-		out = rc.conv(l, in(0))
+		out = rs.conv(l, in(0))
 	case nn.BatchNorm:
-		out = rc.batchNorm(in(0), l.Gamma, l.Beta)
+		out = rs.batchNorm(in(0), l.Gamma, l.Beta)
 	case nn.Act:
-		out = rc.activate(in(0), l.Act)
+		out = rs.activate(in(0), l.Act)
 	case nn.MaxPool:
 		t := in(0)
 		oh := tensor.ConvOut(t.Dim(2), l.PoolK, l.PoolStride, l.PoolPad)
 		ow := tensor.ConvOut(t.Dim(3), l.PoolK, l.PoolStride, l.PoolPad)
-		out = rc.get(t.Dim(0), t.Dim(1), oh, ow)
+		out = rs.get(t.Dim(0), t.Dim(1), oh, ow)
 		tensor.MaxPool2DInto(out, t, l.PoolK, l.PoolStride, l.PoolPad)
 	case nn.Upsample:
 		t := in(0)
@@ -253,28 +271,29 @@ func (rc *runCtx) exec(id int) (err error) {
 		if scale < 1 {
 			return fmt.Errorf("engine: upsample layer %q has invalid scale %d", l.Name, l.Scale)
 		}
-		out = rc.get(t.Dim(0), t.Dim(1), scale*t.Dim(2), scale*t.Dim(3))
+		out = rs.get(t.Dim(0), t.Dim(1), scale*t.Dim(2), scale*t.Dim(3))
 		tensor.UpsampleNearestInto(out, t, scale)
 	case nn.Concat:
-		ts := make([]*tensor.Tensor, len(l.Inputs))
+		var buf [4]*tensor.Tensor // YOLO concats join 2-4 maps; more spill to the heap
+		ts := buf[:0]
 		total := 0
 		for i := range l.Inputs {
-			ts[i] = in(i)
+			ts = append(ts, in(i))
 			total += ts[i].Dim(1)
 		}
-		out = rc.get(ts[0].Dim(0), total, ts[0].Dim(2), ts[0].Dim(3))
+		out = rs.get(ts[0].Dim(0), total, ts[0].Dim(2), ts[0].Dim(3))
 		tensor.ConcatChannelsInto(out, ts...)
 	case nn.Add:
 		first := in(0)
-		out = rc.get(first.Shape()...)
+		out = rs.get(first.Dim(0), first.Dim(1), first.Dim(2), first.Dim(3))
 		copy(out.Data, first.Data)
 		for i := 1; i < len(l.Inputs); i++ {
 			out.Add(in(i))
 		}
 	case nn.GlobalPool:
-		out = rc.globalAvgPool(in(0))
+		out = rs.globalAvgPool(in(0))
 	case nn.Linear:
-		out, err = rc.linear(in(0), l)
+		out, err = rs.linear(in(0), l)
 		if err != nil {
 			return err
 		}
@@ -286,15 +305,15 @@ func (rc *runCtx) exec(id int) (err error) {
 	default:
 		return fmt.Errorf("engine: unsupported layer kind %v", l.Kind)
 	}
-	rc.outs[id] = out
-	if rc.rs != nil {
-		rc.rs.owned[id] = owned
-		rc.rs.alias[id] = int32(aliasOf)
+	rs.outs[id] = out
+	if rs.arena != nil {
+		rs.owned[id] = owned
+		rs.alias[id] = int32(aliasOf)
 		for i, p := range l.Inputs {
 			if i == 0 && aliasOf >= 0 {
 				continue // reference transferred to the alias
 			}
-			rc.consume(p)
+			rs.consume(p)
 		}
 	}
 	return nil
@@ -302,21 +321,21 @@ func (rc *runCtx) exec(id int) (err error) {
 
 // conv dispatches one convolution to the compiled sparse kernel or the
 // dense path, splitting batched inputs across the worker pool.
-func (rc *runCtx) conv(l *nn.Layer, t *tensor.Tensor) *tensor.Tensor {
+func (rs *runState) conv(l *nn.Layer, t *tensor.Tensor) *tensor.Tensor {
 	oh := tensor.ConvOut(t.Dim(2), l.KH, l.Stride, l.Pad)
 	ow := tensor.ConvOut(t.Dim(3), l.KW, l.Stride, l.Pad)
-	out := rc.get(t.Dim(0), l.OutC, oh, ow)
-	if n := t.Dim(0); n > 1 && rc.splitBatch {
-		rc.convBatched(l, t, out, n)
+	out := rs.get(t.Dim(0), l.OutC, oh, ow)
+	if n := t.Dim(0); n > 1 && rs.splitBatch {
+		rs.convBatched(l, t, out, n)
 		return out
 	}
-	rc.convInto(l, t, out)
+	rs.convInto(l, t, out)
 	return out
 }
 
 // convInto runs the compiled (or dense) kernel for one conv layer.
-func (rc *runCtx) convInto(l *nn.Layer, t, out *tensor.Tensor) {
-	switch cc := rc.p.compiled[l.ID]; {
+func (rs *runState) convInto(l *nn.Layer, t, out *tensor.Tensor) {
+	switch cc := rs.p.compiled[l.ID]; {
 	case cc != nil && cc.Pattern != nil:
 		tensor.Conv2DPatternInto(out, t, cc.Pattern, l.Bias, l.Stride, l.Pad, l.Group)
 	case cc != nil && cc.CSR != nil:
@@ -331,8 +350,8 @@ func (rc *runCtx) convInto(l *nn.Layer, t, out *tensor.Tensor) {
 // each goroutine runs the single-image kernel on a zero-copy view).
 // Worker panics are re-raised in the caller so exec's recover converts
 // them into errors.
-func (rc *runCtx) convBatched(l *nn.Layer, t, out *tensor.Tensor, n int) {
-	workers := rc.p.workers
+func (rs *runState) convBatched(l *nn.Layer, t, out *tensor.Tensor, n int) {
+	workers := rs.p.workers
 	if workers > n {
 		workers = n
 	}
@@ -360,7 +379,7 @@ func (rc *runCtx) convBatched(l *nn.Layer, t, out *tensor.Tensor, n int) {
 				if b >= n {
 					return
 				}
-				rc.convInto(l, t.BatchView(b), out.BatchView(b))
+				rs.convInto(l, t.BatchView(b), out.BatchView(b))
 			}
 		}()
 	}
@@ -370,9 +389,9 @@ func (rc *runCtx) convBatched(l *nn.Layer, t, out *tensor.Tensor, n int) {
 	}
 }
 
-func (rc *runCtx) batchNorm(t *tensor.Tensor, gamma, beta []float32) *tensor.Tensor {
+func (rs *runState) batchNorm(t *tensor.Tensor, gamma, beta []float32) *tensor.Tensor {
 	n, c, h, w := t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3)
-	out := rc.get(n, c, h, w)
+	out := rs.get(n, c, h, w)
 	hw := h * w
 	for b := 0; b < n; b++ {
 		for ic := 0; ic < c; ic++ {
@@ -387,17 +406,17 @@ func (rc *runCtx) batchNorm(t *tensor.Tensor, gamma, beta []float32) *tensor.Ten
 	return out
 }
 
-func (rc *runCtx) activate(t *tensor.Tensor, act nn.Activation) *tensor.Tensor {
-	out := rc.get(t.Shape()...)
+func (rs *runState) activate(t *tensor.Tensor, act nn.Activation) *tensor.Tensor {
+	out := rs.get(t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3))
 	for i, v := range t.Data {
 		out.Data[i] = applyAct(v, act)
 	}
 	return out
 }
 
-func (rc *runCtx) globalAvgPool(t *tensor.Tensor) *tensor.Tensor {
+func (rs *runState) globalAvgPool(t *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3)
-	out := rc.get(n, c, 1, 1)
+	out := rs.get(n, c, 1, 1)
 	hw := h * w
 	for b := 0; b < n; b++ {
 		for ic := 0; ic < c; ic++ {
@@ -411,13 +430,13 @@ func (rc *runCtx) globalAvgPool(t *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-func (rc *runCtx) linear(t *tensor.Tensor, l *nn.Layer) (*tensor.Tensor, error) {
+func (rs *runState) linear(t *tensor.Tensor, l *nn.Layer) (*tensor.Tensor, error) {
 	n := t.Dim(0)
 	flat := t.Dim(1) * t.Dim(2) * t.Dim(3)
 	if flat != l.InF {
 		return nil, fmt.Errorf("engine: linear %q expects %d features, got %d", l.Name, l.InF, flat)
 	}
-	out := rc.get(n, l.OutF, 1, 1)
+	out := rs.get(n, l.OutF, 1, 1)
 	for b := 0; b < n; b++ {
 		for o := 0; o < l.OutF; o++ {
 			acc := float32(0)

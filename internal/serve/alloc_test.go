@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"rtoss/internal/detect"
@@ -13,13 +16,34 @@ import (
 // the ingest primitives (internal/tensor) and PostprocessInto
 // (internal/detect), a Detect round trip legitimately allocates a
 // handful of objects per request — the request/response pair, the
-// channel, the [1,C,H,W] reshape header and the result — so this test
-// bounds the count rather than forcing it to zero. The image decode,
-// letterbox canvas and head tensors all come from pools/arenas now, so
-// the bound is tight (~25 allocs/op measured on a 48x24 PPM at 32x32
-// resolution); a pooled buffer escaping its pool or a per-candidate
-// allocation sneaking back into the executor blows straight through it.
+// channel, the per-image head table, the detections and the result —
+// so this test bounds the count rather than forcing it to zero. The
+// image decode, letterbox canvas, input batch and head tensors all
+// come from pools/arenas, so the bound is tight (8–9 allocs/op
+// measured on a 48x24 PPM at 32x32 resolution); a pooled buffer
+// escaping its pool or a per-candidate allocation sneaking back into
+// the executor blows straight through it.
+//
+// The Program sizes its worker pool from GOMAXPROCS, and multi-worker
+// runs take the engine's level fan-out path, so the budget is checked
+// at several core counts rather than only the one the test host has.
 func TestServerDetectAllocBudget(t *testing.T) {
+	const budget = 35
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			allocs := detectAllocs(t)
+			t.Logf("Server.Detect steady state: %.1f allocs/op (budget %d)", allocs, budget)
+			if allocs > budget {
+				t.Errorf("Server.Detect allocates %.1f allocs/op in steady state, budget is %d", allocs, budget)
+			}
+		})
+	}
+}
+
+// detectAllocs measures steady-state Server.Detect allocations on a
+// server built at the current GOMAXPROCS.
+func detectAllocs(t *testing.T) float64 {
 	p := tinyProgram(t)
 	s := NewServer(p, Config{})
 	defer s.Close()
@@ -44,12 +68,15 @@ func TestServerDetectAllocBudget(t *testing.T) {
 			t.Fatal("nil result")
 		}
 	}
-	detectOnce() // warm the batch executor's pooled scratch
-
-	const budget = 50
-	allocs := testing.AllocsPerRun(50, detectOnce)
-	t.Logf("Server.Detect steady state: %.1f allocs/op (budget %d)", allocs, budget)
-	if allocs > budget {
-		t.Errorf("Server.Detect allocates %.1f allocs/op in steady state, budget is %d", allocs, budget)
+	// The executor's scratch and the Program's run states live in
+	// sync.Pools, which a GC (or the race detector's random drops) can
+	// empty mid-measurement; a refill is a real allocation but not a
+	// steady-state one, so the lowest of a few warmed measurements is
+	// the one believed.
+	best := math.Inf(1)
+	for attempt := 0; attempt < 3; attempt++ {
+		detectOnce() // warm the batch executor's pooled scratch
+		best = min(best, testing.AllocsPerRun(50, detectOnce))
 	}
+	return best
 }

@@ -84,9 +84,10 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	// headArena recycles the per-image head copies HeadsBatchArena
-	// splits off a batched forward: the executor returns a request's
-	// heads right after postprocess, so the next batch reuses the
-	// buffers instead of allocating fresh ones.
+	// splits off a batched forward (and the stacked input batch): the
+	// executor returns a request's heads right after postprocess, so
+	// the next batch reuses the buffers instead of allocating fresh
+	// ones.
 	headArena *tensor.Arena
 	// scratchPool recycles ingestScratch (decoded image + letterbox
 	// canvas tensors) across detect requests, making the executor's

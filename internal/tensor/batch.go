@@ -11,12 +11,25 @@ import "fmt"
 // be a single image — rank 3 ([C, H, W]) or rank 4 with batch size 1
 // ([1, C, H, W]) — and all images must share C, H and W. The result is
 // a fresh [N, C, H, W] tensor.
-func Stack(inputs []*Tensor) *Tensor {
+func Stack(inputs []*Tensor) *Tensor { return StackArena(inputs, nil) }
+
+// StackArena is Stack drawing the batch tensor from an arena instead of
+// the heap (nil arena behaves exactly like Stack). A caller that Puts
+// the batch back once the forward pass is done makes repeated batching
+// allocation-free.
+//
+//rtoss:arena-owner
+func StackArena(inputs []*Tensor, arena *Arena) *Tensor {
 	if len(inputs) == 0 {
 		panic("tensor: Stack of nothing")
 	}
 	c, h, w := imageDims(inputs[0])
-	out := New(len(inputs), c, h, w)
+	var out *Tensor
+	if arena == nil {
+		out = New(len(inputs), c, h, w)
+	} else {
+		out = arena.Get(len(inputs), c, h, w)
+	}
 	per := c * h * w
 	for i, t := range inputs {
 		tc, th, tw := imageDims(t)

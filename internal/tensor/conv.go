@@ -216,40 +216,49 @@ func MaxPool2D(input *Tensor, kernel, stride, pad int) *Tensor {
 }
 
 // MaxPool2DInto is MaxPool2D writing into a caller-provided dst of
-// shape [N, C, OH, OW]; every element is overwritten.
+// shape [N, C, OH, OW]; every element is overwritten. Each window is
+// clipped to the input once and scanned as contiguous row segments,
+// starting from its first in-bounds element and replacing the running
+// max only on v > m, so NaN, -0 and -Inf propagate exactly as a
+// per-element scan in row-major window order would. A window lying
+// entirely in the padding (pad >= kernel) yields 0.
+//
+//rtoss:noalloc
 func MaxPool2DInto(out, input *Tensor, kernel, stride, pad int) {
 	n, c, h, w := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
 	oh := ConvOut(h, kernel, stride, pad)
 	ow := ConvOut(w, kernel, stride, pad)
 	checkConvDst(out, n, c, oh, ow)
-	for b := 0; b < n; b++ {
-		for ic := 0; ic < c; ic++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					first := true
-					var m float32
-					for ky := 0; ky < kernel; ky++ {
-						iy := oy*stride - pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kernel; kx++ {
-							ix := ox*stride - pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							v := input.At(b, ic, iy, ix)
-							if first || v > m {
-								m = v
-								first = false
-							}
+	for p := 0; p < n*c; p++ {
+		inPlane := input.Data[p*h*w : (p+1)*h*w]
+		outPlane := out.Data[p*oh*ow : (p+1)*oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			y0, y1 := poolWindow(oy*stride-pad, kernel, h)
+			outRow := outPlane[oy*ow : (oy+1)*ow]
+			for ox := range outRow {
+				x0, x1 := poolWindow(ox*stride-pad, kernel, w)
+				if y0 >= y1 || x0 >= x1 {
+					outRow[ox] = 0
+					continue
+				}
+				m := inPlane[y0*w+x0]
+				for iy := y0; iy < y1; iy++ {
+					for _, v := range inPlane[iy*w+x0 : iy*w+x1] {
+						if v > m {
+							m = v
 						}
 					}
-					out.Set(m, b, ic, oy, ox)
 				}
+				outRow[ox] = m
 			}
 		}
 	}
+}
+
+// poolWindow clips the window [start, start+kernel) to [0, size).
+// The result is empty (lo >= hi) when the window lies in the padding.
+func poolWindow(start, kernel, size int) (lo, hi int) {
+	return max(start, 0), min(start+kernel, size)
 }
 
 // UpsampleNearest scales spatial dimensions by an exact integer factor
@@ -267,9 +276,11 @@ func UpsampleNearest(input *Tensor, scale int) *Tensor {
 
 // UpsampleNearestInto is UpsampleNearest writing into a caller-provided
 // dst of shape [N, C, scale*H, scale*W]; every element is overwritten.
+//
+//rtoss:noalloc
 func UpsampleNearestInto(out, input *Tensor, scale int) {
 	if scale < 1 {
-		panic(fmt.Sprintf("tensor: UpsampleNearest scale %d must be >= 1", scale))
+		panic(fmt.Sprintf("tensor: UpsampleNearest scale %d must be >= 1", scale)) //rtoss:allow noalloc (invalid-argument cold path)
 	}
 	n, c, h, w := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
 	oh, ow := scale*h, scale*w

@@ -88,6 +88,9 @@ func (t *Tensor) Dim(i int) int { return t.shape[i] }
 func (t *Tensor) Len() int { return len(t.Data) }
 
 // offset converts a multi-index into a flat offset, with bounds checks.
+// Like New, the panics format only scalars: referencing idx itself
+// would make the variadic argument escape and heap-allocate it at
+// every At/Set call.
 func (t *Tensor) offset(idx ...int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))
@@ -95,7 +98,7 @@ func (t *Tensor) offset(idx ...int) int {
 	off := 0
 	for i, v := range idx {
 		if v < 0 || v >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %d out of bounds for dimension %d of size %d", v, i, t.shape[i]))
 		}
 		off += v * t.strides[i]
 	}
