@@ -12,12 +12,12 @@ import (
 )
 
 // headsAllocBudget bounds steady-state Program.Heads allocations. What
-// remains per forward is the returned heads slice, the caller-owned
-// head tensors and one closure per fan-out helper goroutine, so the
-// count grows with the number of heads and of conv levels that fan
-// out, not with the number of layers or pixels. A per-element
-// allocation in a kernel, or per-node scheduling garbage, lands orders
-// of magnitude above it.
+// remains per forward is the returned heads slice and the caller-owned
+// head tensors, so the count grows with the number of heads, not with
+// the number of layers, pixels or workers. A per-element allocation in
+// a kernel, or per-node or per-helper scheduling garbage, lands orders
+// of magnitude above it. A 2-image HeadsBatch also returns a table and
+// head tensors per image, so it gets twice the budget.
 const headsAllocBudget = 40
 
 // gateModel is one detector the engine allocation and determinism gate
@@ -44,9 +44,10 @@ func gateModels(t *testing.T) []gateModel {
 }
 
 // TestHeadsAllocAndWorkerDeterminism is the engine's allocation and
-// determinism gate: for every worker count, steady-state Heads stays
-// within headsAllocBudget allocs/op, and Heads and a 2-image HeadsBatch
-// are bitwise identical to the single-worker results.
+// determinism gate: for every worker count, steady-state Heads and a
+// 2-image HeadsBatch (whose convs split across the workers by image)
+// stay within their alloc budgets, and both are bitwise identical to
+// the single-worker results.
 func TestHeadsAllocAndWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and prunes YOLOv5s; skipped in -short")
@@ -90,6 +91,15 @@ func TestHeadsAllocAndWorkerDeterminism(t *testing.T) {
 				t.Logf("workers=%d: Heads %.0f allocs/op (budget %d)", workers, allocs, headsAllocBudget)
 				if allocs > headsAllocBudget {
 					t.Errorf("workers=%d: Heads allocates %.0f allocs/op in steady state, budget is %d", workers, allocs, headsAllocBudget)
+				}
+				allocs = testing.AllocsPerRun(5, func() {
+					if _, err := p.HeadsBatch(pair); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("workers=%d: HeadsBatch %.0f allocs/op (budget %d)", workers, allocs, 2*headsAllocBudget)
+				if allocs > 2*headsAllocBudget {
+					t.Errorf("workers=%d: 2-image HeadsBatch allocates %.0f allocs/op in steady state, budget is %d", workers, allocs, 2*headsAllocBudget)
 				}
 			}
 		})

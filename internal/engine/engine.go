@@ -30,8 +30,10 @@
 // per layer. Levels without a convolution (activations, concats,
 // pools, upsamples) are cheap memory passes and run serially on the
 // caller, as do single-layer levels, whose batched convolutions
-// instead split across the batch dimension. Output-style runs recycle
-// a layer's output buffer as soon as its last consumer has executed.
+// instead split across the batch dimension, one image per worker at a
+// time; that split allocates nothing in steady state either.
+// Output-style runs recycle a layer's output buffer as soon as its
+// last consumer has executed.
 //
 // The analytic latency/energy estimation lives in internal/hw; this
 // package is the numeric twin.

@@ -155,7 +155,8 @@ func TestConcurrentForward(t *testing.T) {
 }
 
 // TestConcurrentErrorPropagates checks that a failing layer inside the
-// worker pool surfaces as an error, not a crash or a hang.
+// worker pool surfaces as an error, not a crash or a hang, both from a
+// level fan-out and from a conv split across the workers by image.
 func TestConcurrentErrorPropagates(t *testing.T) {
 	m := tinyDetector(t, 47)
 	// Corrupt a mid-network conv so its kernel panics on shape checks.
@@ -169,8 +170,13 @@ func TestConcurrentErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Output(randInput(rng.New(1), 3, 32, 32)); err == nil {
-		t.Fatal("expected corrupted layer to error")
+	r := rng.New(1)
+	single := randInput(r, 3, 32, 32)
+	pair := tensor.Stack([]*tensor.Tensor{single, randInput(r, 3, 32, 32)})
+	for _, in := range []*tensor.Tensor{single, pair} {
+		if _, err := e.Output(in); err == nil {
+			t.Fatalf("batch %d: expected corrupted layer to error", in.Dim(0))
+		}
 	}
 }
 

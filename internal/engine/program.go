@@ -26,6 +26,12 @@ type Program struct {
 	compiled  []*sparse.CompiledConv
 	headIDs   []int // inputs of the model's Detect sink (nil if none)
 
+	// imageShapes caches, per conv layer, [1, C, H, W] tensors with the
+	// per-image shapes of its input and output at the last resolution a
+	// batched run split it at; a split copies their headers (see
+	// runState.imageViews). Data is nil: they carry only shape.
+	imageShapes []atomic.Pointer[[2]*tensor.Tensor]
+
 	// runs pools per-request state (activation arena, refcounts and
 	// level fan-out) so steady-state serving reuses it across requests.
 	runs sync.Pool
@@ -57,6 +63,8 @@ func Compile(m *nn.Model, opts Options) (*Program, error) {
 		levels:    make([][]int, maxLevel+1),
 		consumers: make([]int32, n),
 		compiled:  make([]*sparse.CompiledConv, n),
+
+		imageShapes: make([]atomic.Pointer[[2]*tensor.Tensor], n),
 	}
 	if p.workers <= 0 {
 		p.workers = runtime.GOMAXPROCS(0)
@@ -178,13 +186,22 @@ type runState struct {
 	alias []int32
 
 	// Level fan-out (see fanOut): the level being drained, its next
-	// unclaimed node, the helpers still draining it, and the first
-	// error any node reported.
+	// unclaimed node, the helpers still draining it, the first error
+	// any node reported, and the helper body bound to this state.
 	lvl      []int
 	next     atomic.Int32
 	wg       sync.WaitGroup
 	mu       sync.Mutex
 	firstErr error
+	helper   func()
+
+	// Batch split (see convBatched), which runs only on serial levels
+	// and so reuses next, wg and mu: the conv being split (nil when none
+	// is), its per-image input/output views, and the first panic a
+	// worker raised.
+	splitLayer *nn.Layer
+	split      []tensor.Tensor
+	splitPanic any
 }
 
 func (p *Program) newRunState() *runState {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"rtoss/internal/nn"
@@ -171,19 +170,33 @@ func (p *Program) hasConv(lvl []int) bool {
 func (rs *runState) fanOut(lvl []int) error {
 	rs.lvl, rs.firstErr = lvl, nil
 	rs.next.Store(0)
-	helpers := min(rs.p.workers, len(lvl)) - 1
-	rs.wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		go rs.help()
-	}
+	rs.startHelpers(min(rs.p.workers, len(lvl)) - 1)
 	rs.drain()
 	rs.wg.Wait()
 	return rs.firstErr
 }
 
-// help is a fan-out helper goroutine's body.
+// startHelpers starts k helper goroutines on the current level fan-out
+// or batch split. They start through a method value bound once per run
+// state, so the go statement allocates no closure.
+func (rs *runState) startHelpers(k int) {
+	if rs.helper == nil {
+		rs.helper = rs.help
+	}
+	rs.wg.Add(k)
+	for i := 0; i < k; i++ {
+		go rs.helper()
+	}
+}
+
+// help is a helper goroutine's body: it drains the batch split when one
+// is in progress, else the level.
 func (rs *runState) help() {
 	defer rs.wg.Done()
+	if rs.splitLayer != nil {
+		rs.drainSplit()
+		return
+	}
 	rs.drain()
 }
 
@@ -345,48 +358,76 @@ func (rs *runState) convInto(l *nn.Layer, t, out *tensor.Tensor) {
 	}
 }
 
-// convBatched splits a batched convolution across up to workers
-// goroutines, one batch image at a time (NCHW images are contiguous, so
-// each goroutine runs the single-image kernel on a zero-copy view).
-// Worker panics are re-raised in the caller so exec's recover converts
-// them into errors.
+// convBatched splits a batched convolution across the caller and up to
+// workers-1 helper goroutines, one batch image at a time (NCHW images
+// are contiguous, so each runs the single-image kernel on a [1, C, H, W]
+// view). The split's state and views live in the run state, so a
+// steady-state split allocates nothing. Worker panics are re-raised in
+// the caller so exec's recover converts them into errors.
 func (rs *runState) convBatched(l *nn.Layer, t, out *tensor.Tensor, n int) {
-	workers := rs.p.workers
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		next     = int32(-1)
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				b := int(atomic.AddInt32(&next, 1))
-				if b >= n {
-					return
-				}
-				rs.convInto(l, t.BatchView(b), out.BatchView(b))
-			}
-		}()
-	}
-	wg.Wait()
+	rs.imageViews(l.ID, t, out, n)
+	rs.splitLayer, rs.splitPanic = l, nil
+	rs.next.Store(0)
+	rs.startHelpers(min(rs.p.workers, n) - 1)
+	rs.drainSplit()
+	rs.wg.Wait()
+	clear(rs.split) // do not pin the batch buffers while pooled
+	panicVal := rs.splitPanic
+	rs.splitLayer, rs.splitPanic = nil, nil
 	if panicVal != nil {
 		panic(panicVal)
 	}
+}
+
+// drainSplit runs the split conv on batch images until the cursor
+// passes the batch's end, recording the first panic instead of letting
+// it kill a helper goroutine.
+func (rs *runState) drainSplit() {
+	defer func() {
+		if r := recover(); r != nil {
+			rs.mu.Lock()
+			if rs.splitPanic == nil {
+				rs.splitPanic = r
+			}
+			rs.mu.Unlock()
+		}
+	}()
+	for {
+		b := int(rs.next.Add(1)) - 1
+		if 2*b >= len(rs.split) {
+			return
+		}
+		rs.convInto(rs.splitLayer, &rs.split[2*b], &rs.split[2*b+1])
+	}
+}
+
+// imageViews points rs.split at [1, C, H, W] views of each of the n
+// images of t and out, alternating input and output. The views are
+// copies of the layer's shape-only headers in p.imageShapes, rebuilt
+// only when the layer's image shape changes (a new input resolution),
+// so the views need no allocation beyond growing rs.split.
+func (rs *runState) imageViews(id int, t, out *tensor.Tensor, n int) {
+	shapes := rs.p.imageShapes[id].Load()
+	if shapes == nil || !sameImage(shapes[0], t) || !sameImage(shapes[1], out) {
+		shapes = &[2]*tensor.Tensor{t.BatchView(0), out.BatchView(0)}
+		shapes[0].Data, shapes[1].Data = nil, nil
+		rs.p.imageShapes[id].Store(shapes)
+	}
+	if cap(rs.split) < 2*n {
+		rs.split = make([]tensor.Tensor, 2*n)
+	}
+	rs.split = rs.split[:2*n]
+	inPer, outPer := len(t.Data)/n, len(out.Data)/n
+	for b := 0; b < n; b++ {
+		rs.split[2*b], rs.split[2*b+1] = *shapes[0], *shapes[1]
+		rs.split[2*b].Data = t.Data[b*inPer : (b+1)*inPer]
+		rs.split[2*b+1].Data = out.Data[b*outPer : (b+1)*outPer]
+	}
+}
+
+// sameImage reports whether v has the per-image shape of batch t.
+func sameImage(v, t *tensor.Tensor) bool {
+	return v.Dim(1) == t.Dim(1) && v.Dim(2) == t.Dim(2) && v.Dim(3) == t.Dim(3)
 }
 
 func (rs *runState) batchNorm(t *tensor.Tensor, gamma, beta []float32) *tensor.Tensor {

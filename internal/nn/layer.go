@@ -234,8 +234,15 @@ func (l *Layer) Validate() error {
 				}
 			}
 		}
+		if len(l.Bias) != 0 && len(l.Bias) != l.OutC {
+			return fmt.Errorf("nn: layer %q bias length %d, want 0 or %d", l.Name, len(l.Bias), l.OutC)
+		}
 		if len(l.Inputs) != 1 {
 			return fmt.Errorf("nn: conv layer %q needs exactly 1 input, has %d", l.Name, len(l.Inputs))
+		}
+	case MaxPool:
+		if l.PoolK <= 0 || l.PoolStride <= 0 {
+			return fmt.Errorf("nn: max-pool layer %q invalid kernel %d stride %d", l.Name, l.PoolK, l.PoolStride)
 		}
 	case BatchNorm:
 		if len(l.Gamma) == 0 || len(l.Gamma) != len(l.Beta) {

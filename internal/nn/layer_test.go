@@ -47,6 +47,29 @@ func TestLayerValidateErrors(t *testing.T) {
 	}
 }
 
+// TestLayerValidatePoolAndBias pins the checks that keep a malformed
+// max-pool (a zero kernel or stride divides by zero in ConvOut) or a
+// conv bias of the wrong length from reaching the engine, where every
+// forward would fail at run time.
+func TestLayerValidatePoolAndBias(t *testing.T) {
+	conv := func(bias []float32) Layer {
+		return Layer{Name: "c", Kind: Conv, InC: 3, OutC: 4, KH: 3, KW: 3, Stride: 1, Group: 1, Inputs: []int{0}, Bias: bias}
+	}
+	pool := func(k, stride int) Layer {
+		return Layer{Name: "mp", Kind: MaxPool, PoolK: k, PoolStride: stride, PoolPad: k / 2, Inputs: []int{0}}
+	}
+	for _, l := range []Layer{conv(nil), conv(make([]float32, 4)), pool(5, 1), pool(2, 2)} {
+		if err := l.Validate(); err != nil {
+			t.Errorf("valid %v layer rejected: %v", l.Kind, err)
+		}
+	}
+	for _, l := range []Layer{conv(make([]float32, 3)), conv(make([]float32, 5)), pool(0, 1), pool(5, 0), pool(-1, 1), pool(3, -2)} {
+		if err := l.Validate(); err == nil {
+			t.Errorf("%v layer (bias %d, pool k=%d s=%d) accepted", l.Kind, len(l.Bias), l.PoolK, l.PoolStride)
+		}
+	}
+}
+
 func TestLayerValidateWeightShape(t *testing.T) {
 	b := NewBuilder("ws", 3, 8, 8, 1)
 	x := b.Input()

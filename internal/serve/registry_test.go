@@ -5,10 +5,13 @@ package serve
 // used for warm handoff between shards.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"sync"
 	"testing"
 
 	"rtoss/internal/engine"
+	"rtoss/internal/nn"
 	"rtoss/internal/rng"
 	"rtoss/internal/tensor"
 )
@@ -164,6 +167,52 @@ func TestSnapshotRoundTripBitwise(t *testing.T) {
 	// Corrupt payloads must fail, not panic.
 	if _, err := DecodeSnapshot(k, data[:len(data)/2]); err == nil {
 		t.Fatal("DecodeSnapshot accepted a truncated snapshot")
+	}
+}
+
+// TestDecodeSnapshotRejectsMalformedLayers checks that a peer snapshot
+// whose model carries a zero-kernel or zero-stride max-pool, or a conv
+// bias of the wrong length, fails to decode. Compiling such a model
+// succeeds, so without the check the shard would install a Program
+// whose every forward fails (a zero pool stride divides by zero).
+func TestDecodeSnapshotRejectsMalformedLayers(t *testing.T) {
+	build := func() *nn.Model {
+		b := nn.NewBuilder("pooldet", 3, 32, 32, 2)
+		x := b.Input()
+		x = b.ConvBNAct("stem", x, 3, 8, 3, 2, 1, nn.SiLU)
+		x = b.MaxPool("mp", x, 5, 1, 2)
+		b.Detect("detect", b.Conv("head", x, 8, 14, 1, 1, 0, true))
+		m := b.MustBuild()
+		m.InitWeights(4)
+		return m
+	}
+	layer := func(m *nn.Model, name string) *nn.Layer {
+		for _, l := range m.Layers {
+			if l.Name == name {
+				return l
+			}
+		}
+		t.Fatalf("model has no layer %q", name)
+		return nil
+	}
+	k := testKey("pooldet")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *nn.Model)
+	}{
+		{"pool-zero-stride", func(m *nn.Model) { layer(m, "mp").PoolStride = 0 }},
+		{"pool-zero-kernel", func(m *nn.Model) { layer(m, "mp").PoolK = 0 }},
+		{"conv-short-bias", func(m *nn.Model) { h := layer(m, "head"); h.Bias = h.Bias[:len(h.Bias)-1] }},
+	} {
+		m := build()
+		tc.corrupt(m)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(programSnapshot{Key: k.String(), Mode: engine.ModeDense, Model: m}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(k, buf.Bytes()); err == nil {
+			t.Errorf("%s: DecodeSnapshot accepted the malformed model", tc.name)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // compile_test.go property-tests the encode→compile→execute pipeline:
 // for randomized pruned conv layers, every sparse execution format
-// (pattern-grouped, CSR, bitmap) must reproduce tensor.Conv2D on the
-// decoded dense weight within 1e-5.
+// (pattern-grouped, CSR, bitmap) must reproduce tensor.Conv2DInto on
+// the decoded dense weight within 1e-5.
 
 // convCase is one randomized convolution configuration.
 type convCase struct {
@@ -58,6 +58,14 @@ func randBias(r *rng.RNG, k int) []float32 {
 	return b
 }
 
+// conv runs one of the tensor conv kernels into a freshly allocated
+// [N, k, OH, OW] destination for a kh×kw kernel.
+func conv(in *tensor.Tensor, k, kh, kw, stride, pad int, kernel func(dst *tensor.Tensor)) *tensor.Tensor {
+	dst := tensor.New(in.Dim(0), k, tensor.ConvOut(in.Dim(2), kh, stride, pad), tensor.ConvOut(in.Dim(3), kw, stride, pad))
+	kernel(dst)
+	return dst
+}
+
 // sparsify zeroes each weight with probability p.
 func sparsify(r *rng.RNG, w *tensor.Tensor, p float64) {
 	for i := range w.Data {
@@ -88,14 +96,18 @@ func TestCSRConvMatchesDense(t *testing.T) {
 			w := randWeight(r, cs)
 			sparsify(r, w, 0.7)
 			bias := randBias(r, cs.k)
-			want := tensor.Conv2D(in, w, bias, cs.stride, cs.pad, cs.groups)
+			want := conv(in, cs.k, cs.kh, cs.kw, cs.stride, cs.pad, func(dst *tensor.Tensor) {
+				tensor.Conv2DInto(dst, in, w, bias, cs.stride, cs.pad, cs.groups)
+			})
 
 			csr := EncodeCSR(w.Data, cs.k, w.Len()/cs.k)
 			cc, err := csr.Conv(cs.kh, cs.kw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := tensor.Conv2DCSR(in, cc, bias, cs.stride, cs.pad, cs.groups)
+			got := conv(in, cs.k, cs.kh, cs.kw, cs.stride, cs.pad, func(dst *tensor.Tensor) {
+				tensor.Conv2DCSRInto(dst, in, cc, bias, cs.stride, cs.pad, cs.groups)
+			})
 			assertClose(t, "csr", got, want)
 		})
 	}
@@ -112,14 +124,18 @@ func TestBitmapConvMatchesDense(t *testing.T) {
 			w := randWeight(r, cs)
 			sparsify(r, w, 0.6)
 			bias := randBias(r, cs.k)
-			want := tensor.Conv2D(in, w, bias, cs.stride, cs.pad, cs.groups)
+			want := conv(in, cs.k, cs.kh, cs.kw, cs.stride, cs.pad, func(dst *tensor.Tensor) {
+				tensor.Conv2DInto(dst, in, w, bias, cs.stride, cs.pad, cs.groups)
+			})
 
 			bm := EncodeBitmap(w.Data, cs.kh*cs.kw)
 			cc, err := bm.Conv(cs.k, cs.c/cs.groups, cs.kh, cs.kw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := tensor.Conv2DCSR(in, cc, bias, cs.stride, cs.pad, cs.groups)
+			got := conv(in, cs.k, cs.kh, cs.kw, cs.stride, cs.pad, func(dst *tensor.Tensor) {
+				tensor.Conv2DCSRInto(dst, in, cc, bias, cs.stride, cs.pad, cs.groups)
+			})
 			assertClose(t, "bitmap", got, want)
 		})
 	}
@@ -147,7 +163,9 @@ func TestPatternConvMatchesDense(t *testing.T) {
 				mask.Apply(w.Data[k*ks : (k+1)*ks])
 			}
 			bias := randBias(r, cs.k)
-			want := tensor.Conv2D(in, w, bias, cs.stride, cs.pad, cs.groups)
+			want := conv(in, cs.k, cs.kh, cs.kw, cs.stride, cs.pad, func(dst *tensor.Tensor) {
+				tensor.Conv2DInto(dst, in, w, bias, cs.stride, cs.pad, cs.groups)
+			})
 
 			pg, err := EncodePatternGrouped(w.Data, ks, dict)
 			if err != nil {
@@ -157,7 +175,9 @@ func TestPatternConvMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := tensor.Conv2DPattern(in, pc, bias, cs.stride, cs.pad, cs.groups)
+			got := conv(in, cs.k, cs.kh, cs.kw, cs.stride, cs.pad, func(dst *tensor.Tensor) {
+				tensor.Conv2DPatternInto(dst, in, pc, bias, cs.stride, cs.pad, cs.groups)
+			})
 			assertClose(t, "pattern", got, want)
 		})
 	}
@@ -188,7 +208,10 @@ func TestCompileLayerHelpers(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(r.Range(-1, 1))
 	}
-	want := tensor.Conv2D(in, l.Weight, nil, l.Stride, l.Pad, l.Group)
+	layerConv := func(kernel func(dst *tensor.Tensor)) *tensor.Tensor {
+		return conv(in, l.OutC, l.KH, l.KW, l.Stride, l.Pad, kernel)
+	}
+	want := layerConv(func(dst *tensor.Tensor) { tensor.Conv2DInto(dst, in, l.Weight, nil, l.Stride, l.Pad, l.Group) })
 
 	pc, err := CompilePatternConv(l, dict)
 	if err != nil {
@@ -197,7 +220,7 @@ func TestCompileLayerHelpers(t *testing.T) {
 	if pc.NNZ() != int(l.NNZ()) {
 		t.Fatalf("pattern NNZ %d, layer has %d", pc.NNZ(), l.NNZ())
 	}
-	assertClose(t, "pattern", tensor.Conv2DPattern(in, pc, nil, l.Stride, l.Pad, l.Group), want)
+	assertClose(t, "pattern", layerConv(func(dst *tensor.Tensor) { tensor.Conv2DPatternInto(dst, in, pc, nil, l.Stride, l.Pad, l.Group) }), want)
 
 	cc, err := CompileCSRConv(l)
 	if err != nil {
@@ -206,7 +229,7 @@ func TestCompileLayerHelpers(t *testing.T) {
 	if cc.NNZ() != int(l.NNZ()) {
 		t.Fatalf("csr NNZ %d, layer has %d", cc.NNZ(), l.NNZ())
 	}
-	assertClose(t, "csr", tensor.Conv2DCSR(in, cc, nil, l.Stride, l.Pad, l.Group), want)
+	assertClose(t, "csr", layerConv(func(dst *tensor.Tensor) { tensor.Conv2DCSRInto(dst, in, cc, nil, l.Stride, l.Pad, l.Group) }), want)
 
 	// A kernel mask outside the dictionary must refuse to compile.
 	dense := &nn.Layer{

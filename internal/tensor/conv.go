@@ -42,23 +42,19 @@ func checkConvDst(dst *Tensor, n, k, oh, ow int) {
 	}
 }
 
-// Conv2D computes a 2-D cross-correlation (the deep-learning "convolution")
-// of input [N, C, H, W] with weight [K, C/groups, R, S], optional bias [K],
-// stride and symmetric zero padding. It uses the direct algorithm; see
-// Conv2DIm2col for the GEMM-based path used to cross-check it.
-func Conv2D(input, weight *Tensor, bias []float32, stride, pad, groups int) *Tensor {
-	if weight.Rank() != 4 {
-		panic("tensor: Conv2D requires a 4-D weight")
-	}
-	oh, ow := convCheck(input, weight.Dim(0), weight.Dim(1), weight.Dim(2), weight.Dim(3), bias, stride, pad, groups)
-	out := New(input.Dim(0), weight.Dim(0), oh, ow)
-	Conv2DInto(out, input, weight, bias, stride, pad, groups)
-	return out
-}
-
-// Conv2DInto is Conv2D writing into a caller-provided dst tensor of
-// shape [N, K, OH, OW] (every element is overwritten, so dst need not
-// be zeroed). It lets callers reuse activation buffers across layers.
+// Conv2DInto computes a 2-D cross-correlation (the deep-learning
+// "convolution") of input [N, C, H, W] with the dense weight
+// [K, C/groups, R, S], optional bias [K], stride and symmetric zero
+// padding, into dst of shape [N, K, OH, OW] (every element is
+// overwritten, so dst need not be zeroed).
+//
+// It is the all-taps encoding of the tap-accumulate loop that
+// Conv2DPatternInto and Conv2DCSRInto run: each output plane starts at
+// the bias and every weight, zeros included, adds its shifted input
+// plane in (ic, ky, kx) order. A pattern or CSR encoding of the same
+// weight therefore sums the same non-zero terms in the same order.
+//
+//rtoss:noalloc
 func Conv2DInto(dst, input, weight *Tensor, bias []float32, stride, pad, groups int) {
 	if weight.Rank() != 4 {
 		panic("tensor: Conv2DInto requires a 4-D weight")
@@ -68,140 +64,20 @@ func Conv2DInto(dst, input, weight *Tensor, bias []float32, stride, pad, groups 
 	oh, ow := convCheck(input, k, cg, r, s, bias, stride, pad, groups)
 	checkConvDst(dst, n, k, oh, ow)
 	kPerG := k / groups
-	cPerG := c / groups
-	in, wd, od := input.Data, weight.Data, dst.Data
 	for b := 0; b < n; b++ {
 		for ok := 0; ok < k; ok++ {
+			outPlane := biasPlane(dst.Data, b*k+ok, oh*ow, bias, ok)
 			g := ok / kPerG
-			var bv float32
-			if bias != nil {
-				bv = bias[ok]
-			}
-			wBase0 := ok * cPerG * r * s
-			outPlane := od[((b*k+ok)*oh)*ow : ((b*k+ok)*oh+oh)*ow]
-			for oy := 0; oy < oh; oy++ {
-				outRow := outPlane[oy*ow : (oy+1)*ow]
-				for ox := 0; ox < ow; ox++ {
-					acc := bv
-					for ic := 0; ic < cPerG; ic++ {
-						inPlane := in[((b*c+g*cPerG+ic)*h)*w:]
-						wBase := wBase0 + ic*r*s
-						for ky := 0; ky < r; ky++ {
-							iy := oy*stride - pad + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							inRow := inPlane[iy*w : iy*w+w]
-							wRow := wd[wBase+ky*s : wBase+ky*s+s]
-							for kx := 0; kx < s; kx++ {
-								ix := ox*stride - pad + kx
-								if ix < 0 || ix >= w {
-									continue
-								}
-								acc += inRow[ix] * wRow[kx]
-							}
-						}
-					}
-					outRow[ox] = acc
+			wk := weight.Data[ok*cg*r*s : (ok+1)*cg*r*s]
+			for ic := 0; ic < cg; ic++ {
+				inC := g*cg + ic
+				inPlane := input.Data[(b*c+inC)*h*w : (b*c+inC+1)*h*w]
+				for t, v := range wk[ic*r*s : (ic+1)*r*s] {
+					accumTap(outPlane, inPlane, oh, ow, h, w, stride, pad, t/s, t%s, v)
 				}
 			}
 		}
 	}
-}
-
-// Im2col unfolds input [N, C, H, W] into a matrix of shape
-// [C*R*S, N*OH*OW] so that convolution becomes a matrix multiply
-// weight[K, C*R*S] x cols. Only groups == 1 is supported here; grouped
-// convolutions use the direct path.
-func Im2col(input *Tensor, r, s, stride, pad int) *Tensor {
-	n, c, h, w := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
-	oh := ConvOut(h, r, stride, pad)
-	ow := ConvOut(w, s, stride, pad)
-	rows := c * r * s
-	cols := n * oh * ow
-	out := New(rows, cols)
-	col := 0
-	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				row := 0
-				for ic := 0; ic < c; ic++ {
-					for ky := 0; ky < r; ky++ {
-						iy := oy*stride - pad + ky
-						for kx := 0; kx < s; kx++ {
-							ix := ox*stride - pad + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								out.Data[row*cols+col] = input.At(b, ic, iy, ix)
-							}
-							row++
-						}
-					}
-				}
-				col++
-			}
-		}
-	}
-	return out
-}
-
-// MatMul returns a [M, N] = a [M, K] x b [K, N] product.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, ka := a.Dim(0), a.Dim(1)
-	kb, n := b.Dim(0), b.Dim(1)
-	if ka != kb {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", ka, kb))
-	}
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*ka : (i+1)*ka]
-		orow := out.Data[i*n : (i+1)*n]
-		for k := 0; k < ka; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*n : (k+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// Conv2DIm2col computes the same result as Conv2D (groups == 1) via
-// im2col + GEMM. It exists primarily to cross-validate the direct path
-// and to model the GEMM-lowered execution used on GPUs.
-func Conv2DIm2col(input, weight *Tensor, bias []float32, stride, pad int) *Tensor {
-	n := input.Dim(0)
-	k, c, r, s := weight.Dim(0), weight.Dim(1), weight.Dim(2), weight.Dim(3)
-	if input.Dim(1) != c {
-		panic("tensor: Conv2DIm2col channel mismatch")
-	}
-	oh := ConvOut(input.Dim(2), r, stride, pad)
-	ow := ConvOut(input.Dim(3), s, stride, pad)
-	cols := Im2col(input, r, s, stride, pad)
-	wm := weight.Reshape(k, c*r*s)
-	prod := MatMul(wm, cols) // [K, N*OH*OW]
-	out := New(n, k, oh, ow)
-	for ok := 0; ok < k; ok++ {
-		var bv float32
-		if bias != nil {
-			bv = bias[ok]
-		}
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					col := b*oh*ow + oy*ow + ox
-					out.Set(prod.At(ok, col)+bv, b, ok, oy, ox)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // MaxPool2D applies max pooling with the given kernel, stride and padding.

@@ -102,9 +102,9 @@ func TestMaxPool2DIntoMatchesReference(t *testing.T) {
 }
 
 // TestPoolAndIndexAllocs pins the zero-allocation contract of the
-// kernels the engine calls per layer (MaxPool2DInto,
-// UpsampleNearestInto) and of At/Set, whose bounds-check panic must not
-// make the variadic index escape.
+// kernels the engine calls per layer (the dense, pattern and CSR convs,
+// MaxPool2DInto, UpsampleNearestInto) and of At/Set, whose bounds-check
+// panic must not make the variadic index escape.
 func TestPoolAndIndexAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates internally; zero-alloc is only meaningful without it")
@@ -115,10 +115,19 @@ func TestPoolAndIndexAllocs(t *testing.T) {
 	}
 	pooled := New(1, 4, 20, 20)
 	up := New(1, 4, 40, 40)
+	r := rng.New(21)
+	weight := randTensor(r, 6, 2, 3, 3)
+	bias := make([]float32, 6)
+	pc, _ := randPatternConv(r, weight)
+	cc, _ := randCSRConv(r, weight)
+	conv := New(1, 6, 10, 10)
 	cases := []struct {
 		name string
 		f    func()
 	}{
+		{"Conv2DInto", func() { Conv2DInto(conv, in, weight, bias, 2, 1, 2) }},
+		{"Conv2DPatternInto", func() { Conv2DPatternInto(conv, in, pc, bias, 2, 1, 2) }},
+		{"Conv2DCSRInto", func() { Conv2DCSRInto(conv, in, cc, bias, 2, 1, 2) }},
 		{"MaxPool2DInto", func() { MaxPool2DInto(pooled, in, 5, 1, 2) }},
 		{"UpsampleNearestInto", func() { UpsampleNearestInto(up, in, 2) }},
 		{"At+Set", func() { in.Set(in.At(0, 1, 2, 3)+1, 0, 1, 2, 3) }},

@@ -2,9 +2,9 @@ package tensor
 
 import "fmt"
 
-// sparseconv.go implements the sparse convolution kernels that turn
-// pruning-induced zeros into real execution speedups. Two compiled
-// weight formats exist, mirroring the storage formats in
+// sparseconv.go holds the one convolution loop every engine mode runs,
+// accumTap, and the two compressed weight encodings it executes beside
+// the dense one (Conv2DInto), mirroring the storage formats in
 // internal/sparse:
 //
 //   - PatternConv: the pattern-grouped fast path. Every spatial kernel
@@ -16,10 +16,12 @@ import "fmt"
 //     the fallback for unstructured, filter and channel baselines whose
 //     zeros follow no shared pattern.
 //
-// Both kernels are tap-major: for each (batch, output-channel) plane
-// the output is initialised to the bias and each surviving weight then
-// accumulates a shifted copy of its input row, which keeps the inner
-// loops contiguous and free of per-element bounds arithmetic.
+// All three kernels are tap-major: for each (batch, output-channel)
+// plane the output is initialised to the bias and each weight the
+// encoding stores then accumulates a shifted copy of its input rows,
+// which keeps the inner loops contiguous and free of per-element
+// bounds arithmetic. The encodings differ only in which taps they
+// visit: dense visits all of them, pattern and CSR only the survivors.
 
 // PatternConv is a convolution weight compiled to the pattern-grouped
 // sparse execution format.
@@ -57,6 +59,8 @@ func (c *CSRConv) NNZ() int { return len(c.Values) }
 // accumTap accumulates v times the (ky, kx)-shifted input plane into
 // the output plane, touching only the output positions whose input tap
 // is in bounds.
+//
+//rtoss:noalloc
 func accumTap(outPlane, inPlane []float32, oh, ow, h, w, stride, pad, ky, kx int, v float32) {
 	// Go's integer division truncates toward zero, so negative
 	// numerators (tap entirely below/right of the padded input) must
@@ -105,36 +109,41 @@ func accumTap(outPlane, inPlane []float32, oh, ow, h, w, stride, pad, ky, kx int
 	}
 }
 
-// Conv2DPattern computes the convolution of input [N, C, H, W] with a
-// pattern-grouped sparse weight, matching Conv2D on the decoded dense
-// weight up to floating-point summation order.
-func Conv2DPattern(input *Tensor, pc *PatternConv, bias []float32, stride, pad, groups int) *Tensor {
-	oh, ow := convCheck(input, pc.OutC, pc.InCPerG, pc.KH, pc.KW, bias, stride, pad, groups)
-	out := New(input.Dim(0), pc.OutC, oh, ow)
-	Conv2DPatternInto(out, input, pc, bias, stride, pad, groups)
-	return out
+// biasPlane returns output plane p (size elements) of data, filled
+// with bias[oc], or with 0 when bias is nil.
+//
+//rtoss:noalloc
+func biasPlane(data []float32, p, size int, bias []float32, oc int) []float32 {
+	plane := data[p*size : (p+1)*size]
+	var bv float32
+	if bias != nil {
+		bv = bias[oc]
+	}
+	for i := range plane {
+		plane[i] = bv
+	}
+	return plane
 }
 
-// Conv2DPatternInto is Conv2DPattern writing into a caller-provided dst
-// of shape [N, OutC, OH, OW]; every element is overwritten.
+// Conv2DPatternInto computes the convolution of input [N, C, H, W] with
+// a pattern-grouped sparse weight into dst of shape [N, OutC, OH, OW]
+// (every element is overwritten). It visits the kept taps in the order
+// Conv2DInto visits them on the decoded dense weight, so for finite
+// inputs the two agree bit for bit (up to the sign of an exact zero):
+// the zero taps it skips add nothing to a sum.
+//
+//rtoss:noalloc
 func Conv2DPatternInto(dst, input *Tensor, pc *PatternConv, bias []float32, stride, pad, groups int) {
 	n, c, h, w := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
 	oh, ow := convCheck(input, pc.OutC, pc.InCPerG, pc.KH, pc.KW, bias, stride, pad, groups)
 	checkConvDst(dst, n, pc.OutC, oh, ow)
 	if len(pc.Index) != pc.OutC*pc.InCPerG {
-		panic(fmt.Sprintf("tensor: PatternConv has %d kernel indices, want %d", len(pc.Index), pc.OutC*pc.InCPerG))
+		panic(fmt.Sprintf("tensor: PatternConv has %d kernel indices, want %d", len(pc.Index), pc.OutC*pc.InCPerG)) //rtoss:allow noalloc (invalid-argument cold path)
 	}
 	kPerG := pc.OutC / groups
 	for b := 0; b < n; b++ {
 		for ok := 0; ok < pc.OutC; ok++ {
-			var bv float32
-			if bias != nil {
-				bv = bias[ok]
-			}
-			outPlane := dst.Data[((b*pc.OutC+ok)*oh)*ow : ((b*pc.OutC+ok)*oh+oh)*ow]
-			for i := range outPlane {
-				outPlane[i] = bv
-			}
+			outPlane := biasPlane(dst.Data, b*pc.OutC+ok, oh*ow, bias, ok)
 			g := ok / kPerG
 			for ic := 0; ic < pc.InCPerG; ic++ {
 				kk := ok*pc.InCPerG + ic
@@ -153,37 +162,24 @@ func Conv2DPatternInto(dst, input *Tensor, pc *PatternConv, bias []float32, stri
 	}
 }
 
-// Conv2DCSR computes the convolution of input [N, C, H, W] with a CSR
-// sparse weight, matching Conv2D on the decoded dense weight up to
-// floating-point summation order.
-func Conv2DCSR(input *Tensor, cc *CSRConv, bias []float32, stride, pad, groups int) *Tensor {
-	oh, ow := convCheck(input, cc.OutC, cc.InCPerG, cc.KH, cc.KW, bias, stride, pad, groups)
-	out := New(input.Dim(0), cc.OutC, oh, ow)
-	Conv2DCSRInto(out, input, cc, bias, stride, pad, groups)
-	return out
-}
-
-// Conv2DCSRInto is Conv2DCSR writing into a caller-provided dst of
-// shape [N, OutC, OH, OW]; every element is overwritten.
+// Conv2DCSRInto computes the convolution of input [N, C, H, W] with a
+// CSR sparse weight into dst of shape [N, OutC, OH, OW] (every element
+// is overwritten). Columns ascend within each row, so it too visits
+// taps in Conv2DInto's order and matches it on the decoded dense weight.
+//
+//rtoss:noalloc
 func Conv2DCSRInto(dst, input *Tensor, cc *CSRConv, bias []float32, stride, pad, groups int) {
 	n, c, h, w := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
 	oh, ow := convCheck(input, cc.OutC, cc.InCPerG, cc.KH, cc.KW, bias, stride, pad, groups)
 	checkConvDst(dst, n, cc.OutC, oh, ow)
 	if len(cc.RowPtr) != cc.OutC+1 {
-		panic(fmt.Sprintf("tensor: CSRConv has %d row pointers, want %d", len(cc.RowPtr), cc.OutC+1))
+		panic(fmt.Sprintf("tensor: CSRConv has %d row pointers, want %d", len(cc.RowPtr), cc.OutC+1)) //rtoss:allow noalloc (invalid-argument cold path)
 	}
 	kPerG := cc.OutC / groups
 	ks := cc.KH * cc.KW
 	for b := 0; b < n; b++ {
 		for ok := 0; ok < cc.OutC; ok++ {
-			var bv float32
-			if bias != nil {
-				bv = bias[ok]
-			}
-			outPlane := dst.Data[((b*cc.OutC+ok)*oh)*ow : ((b*cc.OutC+ok)*oh+oh)*ow]
-			for i := range outPlane {
-				outPlane[i] = bv
-			}
+			outPlane := biasPlane(dst.Data, b*cc.OutC+ok, oh*ow, bias, ok)
 			g := ok / kPerG
 			for e := cc.RowPtr[ok]; e < cc.RowPtr[ok+1]; e++ {
 				col := int(cc.ColIdx[e])

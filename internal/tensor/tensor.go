@@ -1,6 +1,6 @@
 // Package tensor implements dense float32 tensors and the numeric
-// kernels (convolution, pooling, matrix multiply, norms) that the rest
-// of the repository builds on.
+// kernels (convolution over dense, pattern and CSR weights, pooling,
+// norms) that the rest of the repository builds on.
 //
 // Convention: 4-D tensors are laid out NCHW (batch, channel, height,
 // width); convolution weights are laid out KCRS (output channel, input

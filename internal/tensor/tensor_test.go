@@ -154,11 +154,18 @@ func TestConvOut(t *testing.T) {
 	}
 }
 
+// conv2D runs Conv2DInto into a freshly allocated destination.
+func conv2D(in, w *Tensor, bias []float32, stride, pad, groups int) *Tensor {
+	out := New(in.Dim(0), w.Dim(0), ConvOut(in.Dim(2), w.Dim(2), stride, pad), ConvOut(in.Dim(3), w.Dim(3), stride, pad))
+	Conv2DInto(out, in, w, bias, stride, pad, groups)
+	return out
+}
+
 func TestConv2DIdentityKernel(t *testing.T) {
 	// A 1x1 kernel of value 1 must reproduce the input channel.
 	in := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	w := FromSlice([]float32{1}, 1, 1, 1, 1)
-	out := Conv2D(in, w, nil, 1, 0, 1)
+	out := conv2D(in, w, nil, 1, 0, 1)
 	if !out.Equal(in, 0) {
 		t.Fatalf("identity conv failed: %v", out.Data)
 	}
@@ -175,7 +182,7 @@ func TestConv2DHandComputed(t *testing.T) {
 		1, 0,
 		0, 1,
 	}, 1, 1, 2, 2)
-	out := Conv2D(in, w, nil, 1, 0, 1)
+	out := conv2D(in, w, nil, 1, 0, 1)
 	// Each output = x[i,j] + x[i+1,j+1].
 	want := []float32{1 + 5, 2 + 6, 4 + 8, 5 + 9}
 	for i, v := range want {
@@ -188,7 +195,7 @@ func TestConv2DHandComputed(t *testing.T) {
 func TestConv2DBias(t *testing.T) {
 	in := FromSlice([]float32{1, 1, 1, 1}, 1, 1, 2, 2)
 	w := FromSlice([]float32{1}, 1, 1, 1, 1)
-	out := Conv2D(in, w, []float32{10}, 1, 0, 1)
+	out := conv2D(in, w, []float32{10}, 1, 0, 1)
 	for _, v := range out.Data {
 		if v != 11 {
 			t.Fatalf("bias not applied: %v", out.Data)
@@ -201,7 +208,7 @@ func TestConv2DPadding(t *testing.T) {
 	// the (single) overlapping input value.
 	in := FromSlice([]float32{5}, 1, 1, 1, 1)
 	w := Full(1, 1, 1, 3, 3)
-	out := Conv2D(in, w, nil, 1, 1, 1)
+	out := conv2D(in, w, nil, 1, 1, 1)
 	if out.Dim(2) != 1 || out.Dim(3) != 1 {
 		t.Fatalf("bad output shape %v", out.Shape())
 	}
@@ -217,7 +224,7 @@ func TestConv2DGroups(t *testing.T) {
 		2, 2, 2, 2, // channel 1
 	}, 1, 2, 2, 2)
 	w := FromSlice([]float32{1, 1}, 2, 1, 1, 1)
-	out := Conv2D(in, w, nil, 1, 0, 2)
+	out := conv2D(in, w, nil, 1, 0, 2)
 	if out.At(0, 0, 0, 0) != 1 || out.At(0, 1, 0, 0) != 2 {
 		t.Fatalf("grouped conv mixed channels: %v", out.Data)
 	}
@@ -231,7 +238,7 @@ func TestConv2DGroupsValidation(t *testing.T) {
 	}()
 	in := New(1, 3, 2, 2)
 	w := New(2, 1, 1, 1)
-	Conv2D(in, w, nil, 1, 0, 2)
+	conv2D(in, w, nil, 1, 0, 2)
 }
 
 func randTensor(r *rng.RNG, shape ...int) *Tensor {
@@ -240,52 +247,6 @@ func randTensor(r *rng.RNG, shape ...int) *Tensor {
 		t.Data[i] = float32(r.Range(-1, 1))
 	}
 	return t
-}
-
-func TestConv2DMatchesIm2col(t *testing.T) {
-	r := rng.New(1234)
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + r.Intn(2)
-		c := 1 + r.Intn(4)
-		k := 1 + r.Intn(4)
-		ks := []int{1, 3, 5}[r.Intn(3)]
-		h := ks + r.Intn(6)
-		w := ks + r.Intn(6)
-		stride := 1 + r.Intn(2)
-		pad := r.Intn(2)
-		in := randTensor(r, n, c, h, w)
-		wt := randTensor(r, k, c, ks, ks)
-		bias := make([]float32, k)
-		for i := range bias {
-			bias[i] = float32(r.Range(-1, 1))
-		}
-		direct := Conv2D(in, wt, bias, stride, pad, 1)
-		gemm := Conv2DIm2col(in, wt, bias, stride, pad)
-		if !direct.Equal(gemm, 1e-4) {
-			t.Fatalf("trial %d: direct and im2col paths disagree (shape in=%v w=%v s=%d p=%d)", trial, in.Shape(), wt.Shape(), stride, pad)
-		}
-	}
-}
-
-func TestMatMulHandComputed(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
-	want := []float32{58, 64, 139, 154}
-	for i, v := range want {
-		if c.Data[i] != v {
-			t.Fatalf("MatMul got %v want %v", c.Data, want)
-		}
-	}
-}
-
-func TestMatMulDimCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatMul(New(2, 3), New(2, 3))
 }
 
 func TestMaxPool2D(t *testing.T) {
@@ -395,32 +356,13 @@ func TestQuickTriangleInequality(t *testing.T) {
 	}
 }
 
-func BenchmarkConv2DDirect3x3(b *testing.B) {
+func BenchmarkConv2DDense3x3(b *testing.B) {
 	r := rng.New(5)
 	in := randTensor(r, 1, 32, 40, 40)
 	w := randTensor(r, 32, 32, 3, 3)
+	out := New(1, 32, 40, 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Conv2D(in, w, nil, 1, 1, 1)
-	}
-}
-
-func BenchmarkConv2DIm2col3x3(b *testing.B) {
-	r := rng.New(5)
-	in := randTensor(r, 1, 32, 40, 40)
-	w := randTensor(r, 32, 32, 3, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Conv2DIm2col(in, w, nil, 1, 1)
-	}
-}
-
-func BenchmarkMatMul256(b *testing.B) {
-	r := rng.New(5)
-	x := randTensor(r, 256, 256)
-	y := randTensor(r, 256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MatMul(x, y)
+		Conv2DInto(out, in, w, nil, 1, 1, 1)
 	}
 }
